@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,8 +20,8 @@ from .data import (
     load_annotations,
     load_image_raw,
 )
-from .detector import Detector, ModelConfig, load_checkpoint, postprocess
-from .evaluation import evaluate_detections, panoptic_quality
+from .detector import Detector, load_checkpoint, save_checkpoint
+from .evaluation import panoptic_quality
 from .matching import TargetSet
 from .segmentation import downsample_map, panoptic_from_sample, panoptic_merge
 from .training import (
@@ -30,8 +29,6 @@ from .training import (
     TrainConfig,
     evaluate_model,
     load_mask_head,
-    predict_batch,
-    save_mask_head,
     train,
     train_mask_head,
 )
@@ -76,8 +73,7 @@ def cmd_eval(args) -> int:
                             override_empty=not args.no_override,
                             nms_thresh=args.nms)
     report.to_json(args.report)
-    print(json.dumps({k: v for k, v in report.to_dict().items()
-                      if k != "per_layer"}, indent=1))
+    print(json.dumps(report.to_dict(), indent=1))
     return 0
 
 
@@ -196,7 +192,7 @@ def cmd_train_mask(args) -> int:
     model = _load_model(cfg, args.ckpt)
     mask_cfg = MaskTrainConfig(epochs=args.epochs)
     head = train_mask_head(model, cfg, mask_cfg, log=print)
-    save_mask_head(head, args.out)
+    save_checkpoint(head, args.out)
     print(f"mask head: {args.out}")
     return 0
 
@@ -214,8 +210,7 @@ def cmd_eval_panoptic(args) -> int:
         with T.no_grad():
             out, memory, embs = model.forward_with_internals(sample.image)
             mask_out = head(embs, memory, side, side)
-        dets = postprocess(out, override_empty=False)
-        probs_all = _slot_probs(out)
+        probs_all = T.softmax(out.layers[-1].class_logits.data)[:, :-1]  # no no-object
         confidences = probs_all.max(axis=-1)
         classes = probs_all.argmax(axis=-1)
         pred = panoptic_merge(mask_out.logits.data, confidences, classes,
@@ -223,7 +218,6 @@ def cmd_eval_panoptic(args) -> int:
                               conf_thresh=args.conf_thresh)
         gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
         totals.append(panoptic_quality(pred, gt))
-        del dets
     result = {
         "PQ": float(np.nanmean([t.pq for t in totals])),
         "SQ": float(np.nanmean([t.sq for t in totals])),
@@ -237,14 +231,6 @@ def cmd_eval_panoptic(args) -> int:
         with open(args.report, "w") as fh:
             json.dump(result, fh, indent=1)
     return 0
-
-
-def _slot_probs(out):
-    logits = out.layers[-1].class_logits.data
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs[:, :-1]     # drop the no-object column
 
 
 def cmd_predict(args) -> int:

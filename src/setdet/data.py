@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,6 +286,13 @@ def build_dataset(cfg: SyntheticConfig, count: int, namespace: int,
 
 
 def _pack_seed(seed: int, namespace: int, index: int) -> int:
+    """One int from (seed, namespace, index); rejects values that would alias."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    if not 0 <= namespace < 16:
+        raise ValueError(f"namespace {namespace} outside [0, 16)")
+    if not 0 <= index < 1 << 20:
+        raise ValueError(f"index {index} outside [0, 2**20)")
     return (seed << 24) | (namespace << 20) | index
 
 
@@ -403,9 +410,14 @@ def save_image_raw(path: str, image: np.ndarray):
 
 def load_image_raw(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != IMAGE_MAGIC:
-            raise AnnotationError(f"bad image magic {magic!r}")
-        h, w = struct.unpack("<II", fh.read(8))
-        raw = np.frombuffer(fh.read(h * w * 3), dtype=np.uint8)
+        buf = fh.read()
+    if buf[:4] != IMAGE_MAGIC:
+        raise AnnotationError(f"bad image magic {buf[:4]!r}")
+    if len(buf) < 12:
+        raise AnnotationError(f"image header truncated at {len(buf)} bytes")
+    h, w = struct.unpack("<II", buf[4:12])
+    if len(buf) - 12 != h * w * 3:
+        raise AnnotationError(f"{h}x{w} image needs {h * w * 3} pixel bytes, "
+                              f"found {len(buf) - 12}")
+    raw = np.frombuffer(buf, dtype=np.uint8, offset=12)
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0

@@ -8,6 +8,7 @@ stable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -195,9 +196,6 @@ class Detector:
     def parameters(self) -> list[Parameter]:
         return self._params
 
-    def parameter_count(self) -> int:
-        return sum(p.tensor.size for p in self._params)
-
     def zero_grad(self):
         for p in self._params:
             p.tensor.zero_grad()
@@ -311,9 +309,7 @@ def postprocess(output: DetectionOutput, use_layer: int = -1,
 
 
 def _postprocess_single(logits, boxes, override_empty):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = T.softmax(logits)
     no_object = probs.shape[-1] - 1
     detections = []
     for slot in range(probs.shape[0]):
@@ -332,67 +328,89 @@ class CheckpointError(ValueError):
     """Malformed checkpoint or mismatch against the configured model."""
 
 
-def save_checkpoint(model: Detector, path: str):
-    """Bit-exact binary dump of all parameters (little-endian f64)."""
-    params = model.parameters()
+def write_arrays(path: str, arrays: dict):
+    """Write ``{name: array}`` as the one container of every state file.
+
+    Little-endian: magic, u32 version, u32 entry count, then per entry a
+    u32 name length, the UTF-8 name, u32 rank, u32 dims, f64 payload.
+    """
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for p in params:
-            _write_array(fh, p.name, p.tensor.data)
-
-
-def load_checkpoint(model: Detector, path: str):
-    """Load a checkpoint into a model built from the same config.
-
-    Rejects wrong magic/version and any name or shape mismatch.
-    """
-    with open(path, "rb") as fh:
-        entries = _read_entries(fh)
-    params = {p.name: p for p in model.parameters()}
-    if set(entries) != set(params):
-        missing = sorted(set(params) - set(entries))
-        extra = sorted(set(entries) - set(params))
-        raise CheckpointError(
-            f"parameter names disagree with model (missing {missing}, extra {extra})")
-    for name, array in entries.items():
-        p = params[name]
-        if array.shape != p.tensor.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {array.shape} "
-                f"vs model {p.tensor.data.shape}")
-        p.tensor.data = array
-
-
-def _write_array(fh, name: str, array: np.ndarray):
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", array.ndim))
-    fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
-    fh.write(array.astype("<f8").tobytes())
-
-
-def _read_entries(fh) -> dict:
-    magic = fh.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}")
-    version, count = struct.unpack("<II", fh.read(8))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    entries = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-        entries[name] = data.astype(np.float64).copy()
-    return entries
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(arrays)))
+        for name, array in arrays.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(encoded)}sI{array.ndim}I", len(encoded),
+                                 encoded, array.ndim, *array.shape))
+            fh.write(array.astype("<f8").tobytes())
 
 
 def read_checkpoint_arrays(path: str) -> dict:
-    """Raw name -> array view of a checkpoint (no model needed)."""
+    """Name -> array of a container.  Each length is checked against the
+    bytes left before use; bad input raises CheckpointError naming where."""
     with open(path, "rb") as fh:
-        return _read_entries(fh)
+        buf = fh.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointError(f"{what} needs {n} bytes at byte {pos}, "
+                                  f"{len(buf) - pos} left")
+        pos += n
+        return buf[pos - n:pos]
+
+    def u32s(n: int, what: str) -> tuple:
+        return struct.unpack(f"<{n}I", take(4 * n, what))
+
+    if (magic := take(4, "magic")) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    version, count = u32s(2, "header")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if 12 * count > len(buf) - pos:     # no entry is shorter than 12 bytes
+        raise CheckpointError(f"{count} entries cannot fit in {len(buf) - pos} bytes")
+    entries = {}
+    for i in range(count):
+        (name_len,) = u32s(1, f"entry {i} name length")
+        try:
+            name = take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"entry {i}: name is not UTF-8") from None
+        if name in entries:
+            raise CheckpointError(f"entry {i}: duplicate name {name!r}")
+        (rank,) = u32s(1, f"entry {i} rank")
+        if rank > 32:                   # numpy's lowest ndim limit
+            raise CheckpointError(f"entry {i}: rank {rank} exceeds 32")
+        shape = u32s(rank, f"entry {i} shape")
+        payload = take(8 * math.prod(shape), f"entry {i} ({name!r}) payload")
+        entries[name] = np.frombuffer(payload, "<f8").astype(np.float64).reshape(shape)
+    if pos != len(buf):
+        raise CheckpointError(f"{len(buf) - pos} trailing bytes at byte {pos}")
+    return entries
+
+
+def check_arrays(arrays: dict, shapes: dict, path: str):
+    """Require exactly the names of ``shapes``, each with its shape."""
+    if set(arrays) != set(shapes):
+        raise CheckpointError(f"{path}: names disagree (missing "
+                              f"{sorted(set(shapes) - set(arrays))}, extra "
+                              f"{sorted(set(arrays) - set(shapes))})")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}: file "
+                                  f"{arrays[name].shape} vs expected {shape}")
+
+
+def save_checkpoint(module, path: str):
+    """Bit-exact dump of ``module.parameters()`` (a Detector or MaskHead)."""
+    write_arrays(path, {p.name: p.tensor.data for p in module.parameters()})
+
+
+def load_checkpoint(module, path: str):
+    """Load a checkpoint into a module built from the same config; a failed
+    load leaves the module untouched (all is checked before assigning)."""
+    arrays = read_checkpoint_arrays(path)
+    params = module.parameters()
+    check_arrays(arrays, {p.name: p.tensor.data.shape for p in params}, path)
+    for p in params:
+        p.tensor.data = arrays[p.name]

@@ -10,7 +10,7 @@ of the usual 32^2/96^2 pixel cutoffs).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,12 @@ class EvalReport:
     ap_medium: float
     ap_large: float
     per_class_ap: dict
-    per_layer: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "AP": self.ap, "AP50": self.ap50, "AP75": self.ap75,
             "AP_S": self.ap_small, "AP_M": self.ap_medium, "AP_L": self.ap_large,
             "per_class_AP": {str(k): v for k, v in self.per_class_ap.items()},
-            "per_layer": self.per_layer,
         }
 
     def to_json(self, path: str):

@@ -61,11 +61,6 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Functional form; see tensor.layer_norm."""
-    return T.layer_norm(x, gain, bias, eps)
-
-
 class AttentionWeights:
     """Per-head q/k/v projections [M, d/M, d] and output projection [d, d]."""
 
@@ -94,35 +89,9 @@ class AttentionWeights:
         self.d_head = d_head
         assert shape == self.q_proj.tensor.shape
 
-    def head(self, m: int):
-        """Weights of one head as plain Tensors (for the single-head op)."""
-        return (Tensor(self.q_proj.tensor.data[m]), Tensor(self.q_bias.tensor.data[m]),
-                Tensor(self.k_proj.tensor.data[m]), Tensor(self.k_bias.tensor.data[m]),
-                Tensor(self.v_proj.tensor.data[m]), Tensor(self.v_bias.tensor.data[m]))
-
     def parameters(self):
         return [self.q_proj, self.q_bias, self.k_proj, self.k_bias,
                 self.v_proj, self.v_bias, self.out_proj, self.out_bias]
-
-
-def attention_head(xq: Tensor, xkv: Tensor, wq, bq, wk, bk, wv, bv,
-                   pos_q: Tensor | None = None,
-                   pos_kv: Tensor | None = None) -> Tensor:
-    """One attention head over [d, Nq] / [d, Nkv] sequences -> [d', Nq].
-
-    Q and K see the positional encodings; V is projected from the raw
-    key-value content.  Scores are scaled by 1/sqrt(d') before the
-    row-wise softmax.
-    """
-    q_in = xq if pos_q is None else xq + pos_q
-    k_in = xkv if pos_kv is None else xkv + pos_kv
-    q = T.matmul(wq, q_in) + bq
-    k = T.matmul(wk, k_in) + bk
-    v = T.matmul(wv, xkv) + bv
-    d_head = q.shape[-2]
-    scores = T.matmul(T.transpose(q * (1.0 / math.sqrt(d_head))), k)
-    alpha = T.softmax_lastdim(scores)
-    return T.matmul(v, T.transpose(alpha))
 
 
 class MultiHeadAttention:

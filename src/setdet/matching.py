@@ -11,7 +11,7 @@ backpropagation; only the loss stage is differentiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class Assignment:
 
     def __len__(self) -> int:
         return len(self.slot_of_target)
-
-    def matched_slots(self) -> np.ndarray:
-        return self.slot_of_target
 
     def total_cost(self, cost: np.ndarray) -> float:
         return float(cost[np.arange(len(self.slot_of_target)), self.slot_of_target].sum())
@@ -141,9 +138,7 @@ def matching_cost_matrix(class_logits: np.ndarray, pred_boxes: np.ndarray,
         raise CapacityError(f"{len(targets)} targets exceed {n_slots} slots")
     if len(targets) == 0:
         return np.zeros((0, n_slots))
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = T.softmax(logits)
     class_cost = -probs[:, targets.classes].T            # [m, n]
     return class_cost + box_cost_matrix(targets.boxes, pred_boxes, weights)
 

@@ -240,17 +240,27 @@ def save_panoptic(pmap: PanopticMap, path: str):
 
 
 def load_panoptic(path: str) -> PanopticMap:
+    """Read a save_panoptic file; malformed input raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PANOPTIC_MAGIC:
-            raise ValueError(f"bad panoptic magic {magic!r}")
-        version, json_len = struct.unpack("<II", fh.read(8))
-        if version != PANOPTIC_VERSION:
-            raise ValueError(f"unsupported panoptic version {version}")
-        table = json.loads(fh.read(json_len).decode("utf-8"))
-        h, w = struct.unpack("<II", fh.read(8))
-        labels = np.frombuffer(fh.read(2 * h * w), dtype="<u2") \
-            .reshape(h, w).astype(np.int64)
-    segments = {int(rec["id"]): SegmentInfo(int(rec["class"]), bool(rec["is_thing"]))
-                for rec in table["segments"]}
+        buf = fh.read()
+    if buf[:4] != PANOPTIC_MAGIC:
+        raise ValueError(f"bad panoptic magic {buf[:4]!r}")
+    if len(buf) < 12:
+        raise ValueError(f"panoptic header truncated at {len(buf)} bytes")
+    version, json_len = struct.unpack("<II", buf[4:12])
+    if version != PANOPTIC_VERSION:
+        raise ValueError(f"unsupported panoptic version {version}")
+    grid = 12 + json_len
+    if len(buf) < grid + 8:
+        raise ValueError(f"panoptic file truncated at {len(buf)} bytes, grid at {grid}")
+    h, w = struct.unpack("<II", buf[grid:grid + 8])
+    if len(buf) - grid - 8 != 2 * h * w:
+        raise ValueError(f"{h}x{w} label grid needs {2 * h * w} bytes, "
+                         f"found {len(buf) - grid - 8}")
+    try:
+        segments = {int(r["id"]): SegmentInfo(int(r["class"]), bool(r["is_thing"]))
+                    for r in json.loads(buf[12:grid])["segments"]}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed panoptic segment table: {exc!r}") from None
+    labels = np.frombuffer(buf, "<u2", offset=grid + 8).reshape(h, w).astype(np.int64)
     return PanopticMap(labels=labels, segments=segments)

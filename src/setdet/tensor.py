@@ -98,9 +98,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -178,9 +175,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes if axes else None)
-
-    def flatten(self):
-        return reshape(self, (self.data.size,))
 
 
 @dataclass
@@ -500,11 +494,17 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- normalizations ----------------------------------------------------------
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis; each slice sums to 1."""
-    out = a.data - a.data.max(axis=-1, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis of a plain array (no tape)."""
+    out = x - x.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """Stable softmax over the last axis; each slice sums to 1."""
+    out = softmax(a.data)
 
     def backward(g):
         inner = g - (g * out).sum(axis=-1, keepdims=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,23 +20,22 @@ from . import tensor as T
 from .data import (
     TRAIN_NAMESPACE,
     VAL_NAMESPACE,
-    Sample,
     SyntheticConfig,
     build_dataset,
 )
 from .detector import (
+    CheckpointError,
     Detector,
     ModelConfig,
-    postprocess,
-    save_checkpoint,
+    check_arrays,
     load_checkpoint,
-    _read_entries,
-    _write_array,
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
+    postprocess,
+    read_checkpoint_arrays,
+    save_checkpoint,
+    write_arrays,
 )
 from .evaluation import EvalReport, evaluate_detections, nms as nms_filter
-from .matching import LossWeights, TargetSet, dice_loss, focal_loss, match, total_loss
+from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
 from .segmentation import MaskHead
 from .tensor import Parameter
 
@@ -82,9 +80,13 @@ class TrainConfig:
     def dropout(self) -> float:
         return self.model.dropout
 
+    def lr_scale(self, epoch: int) -> float:
+        """Multiplier on both base lrs for a 1-based epoch index."""
+        return 1.0 / self.lr_drop_factor if epoch >= self.lr_drop_epoch else 1.0
+
     def lr_at(self, epoch: int) -> tuple[float, float]:
         """(transformer lr, backbone lr) for a 1-based epoch index."""
-        scale = 1.0 / self.lr_drop_factor if epoch >= self.lr_drop_epoch else 1.0
+        scale = self.lr_scale(epoch)
         return self.lr_transformer * scale, self.lr_backbone * scale
 
     def to_dict(self) -> dict:
@@ -173,25 +175,25 @@ class AdamW:
                 p.tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def save(self, path: str):
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            entries = 1 + 2 * len(self.m)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, entries))
-            _write_array(fh, "step", np.float64(self.step_count).reshape(()))
-            for name in self.m:
-                _write_array(fh, f"m.{name}", self.m[name])
-                _write_array(fh, f"v.{name}", self.v[name])
+        arrays = {"step": np.float64(self.step_count).reshape(())}
+        for name in self.m:
+            arrays.update({f"m.{name}": self.m[name], f"v.{name}": self.v[name]})
+        write_arrays(path, arrays)
 
     def load(self, path: str):
-        with open(path, "rb") as fh:
-            entries = _read_entries(fh)
-        self.step_count = int(entries.pop("step"))
-        for key, value in entries.items():
-            kind, name = key.split(".", 1)
-            target = self.m if kind == "m" else self.v
-            if name not in target or target[name].shape != value.shape:
-                raise ValueError(f"optimizer state mismatch for {key}")
-            target[name] = value
+        """Restore state saved for the same groups; all checked before assigning."""
+        arrays = read_checkpoint_arrays(path)
+        shapes = {"step": ()}
+        for name, m in self.m.items():
+            shapes[f"m.{name}"] = shapes[f"v.{name}"] = m.shape
+        check_arrays(arrays, shapes, path)
+        step = float(arrays["step"])
+        if not (step >= 0 and step.is_integer()):
+            raise CheckpointError(f"{path}: step {step} is not an integer >= 0")
+        self.step_count = int(step)
+        for name in self.m:
+            self.m[name] = arrays[f"m.{name}"]
+            self.v[name] = arrays[f"v.{name}"]
 
 
 def clip_grad_norm(params, max_norm: float = 0.1) -> float:
@@ -284,18 +286,14 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
     params = model.parameters()
 
     csv_path = os.path.join(out_dir, "metrics.csv")
-    mode = "a" if resume is not None and os.path.exists(csv_path) else "w"
     history = []
-    csv_file = open(csv_path, mode, newline="")
-    writer = csv.writer(csv_file)
-    if mode == "w":
-        writer.writerow(CSV_HEADER)
-        csv_file.flush()
+    if resume is None or not os.path.exists(csv_path):
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerow(CSV_HEADER)
 
     final_path = os.path.join(out_dir, "checkpoint_final.sdtr")
     for epoch in range(start_epoch, cfg.epochs + 1):
-        lr_scale = (1.0 / cfg.lr_drop_factor
-                    if epoch >= cfg.lr_drop_epoch else 1.0)
+        lr_scale = cfg.lr_scale(epoch)
         order = np.random.default_rng([cfg.seed, 2, epoch]) \
             .permutation(len(train_set))
         epoch_loss = 0.0
@@ -340,9 +338,9 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
             "val_ap": report.ap,
         }
         history.append(row)
-        writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k]
-                         for k in CSV_HEADER])
-        csv_file.flush()
+        with open(csv_path, "a", newline="") as fh:
+            csv.writer(fh).writerow([repr(row[k]) if isinstance(row[k], float)
+                                     else row[k] for k in CSV_HEADER])
         if log is not None:
             tlr, blr = cfg.lr_at(epoch)
             log(f"epoch {epoch}/{cfg.epochs} loss={row['loss']:.4f} "
@@ -351,7 +349,6 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
             _save_state(model, optimizer, epoch,
                         os.path.join(out_dir, f"checkpoint_epoch{epoch}.sdtr"))
     _save_state(model, optimizer, cfg.epochs, final_path)
-    csv_file.close()
     return TrainResult(checkpoint=final_path, metrics_csv=csv_path,
                        history=history, model=model)
 
@@ -445,23 +442,9 @@ def _downsample_mask(mask: np.ndarray, factor: int) -> np.ndarray:
     return (blocks > 0.5).astype(np.float64)
 
 
-def save_mask_head(head: MaskHead, path: str):
-    params = head.parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for p in params:
-            _write_array(fh, p.name, p.tensor.data)
-
-
 def load_mask_head(model_config: ModelConfig, path: str,
                    hidden: int = 8) -> MaskHead:
     head = MaskHead(model_config.d, model_config.num_heads,
                     np.random.default_rng(0), hidden=hidden)
-    with open(path, "rb") as fh:
-        entries = _read_entries(fh)
-    for p in head.parameters():
-        if p.name not in entries or entries[p.name].shape != p.tensor.data.shape:
-            raise ValueError(f"mask head state mismatch for {p.name}")
-        p.tensor.data = entries[p.name]
+    load_checkpoint(head, path)
     return head

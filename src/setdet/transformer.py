@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .layers import FeedForward, LayerNorm, MultiHeadAttention
 from .tensor import Tensor
 

@@ -9,6 +9,8 @@ from setdet.data import (
     SampleRef,
     SyntheticConfig,
     TRAIN_NAMESPACE,
+    _pack_seed,
+    _unpack_seed,
     build_dataset,
     generate_scene,
     grid_instances_scene,
@@ -188,3 +190,14 @@ class TestRawImages:
         path.write_bytes(b"JUNK" + b"\x00" * 8)
         with pytest.raises(AnnotationError):
             load_image_raw(str(path))
+
+
+def test_pack_seed_rejects_aliasing_fields():
+    # these used to unpack as (1, 0, 5) and (0, 1, 0)
+    with pytest.raises(ValueError, match="^namespace 16"):
+        _pack_seed(0, 16, 5)
+    with pytest.raises(ValueError, match="^index 1048576"):
+        _pack_seed(0, 1, 2**20)
+    with pytest.raises(ValueError, match="^seed -1"):
+        _pack_seed(-1, 0, 0)
+    assert _unpack_seed(_pack_seed(3, 15, 2**20 - 1)) == (3, 15, 2**20 - 1)

@@ -11,9 +11,36 @@ from setdet.layers import (
     LayerNorm,
     Linear,
     MultiHeadAttention,
-    attention_head,
 )
 from setdet.tensor import Tensor, grad_check
+
+
+def attention_head(xq: Tensor, xkv: Tensor, wq, bq, wk, bk, wv, bv,
+                   pos_q: Tensor | None = None,
+                   pos_kv: Tensor | None = None) -> Tensor:
+    """One attention head over [d, Nq] / [d, Nkv] sequences -> [d', Nq].
+
+    Q and K see the positional encodings; V is projected from the raw
+    key-value content.  Scores are scaled by 1/sqrt(d') before the
+    row-wise softmax.  The reference the stacked-head attention is
+    checked against.
+    """
+    q_in = xq if pos_q is None else xq + pos_q
+    k_in = xkv if pos_kv is None else xkv + pos_kv
+    q = T.matmul(wq, q_in) + bq
+    k = T.matmul(wk, k_in) + bk
+    v = T.matmul(wv, xkv) + bv
+    d_head = q.shape[-2]
+    scores = T.matmul(T.transpose(q * (1.0 / math.sqrt(d_head))), k)
+    alpha = T.softmax_lastdim(scores)
+    return T.matmul(v, T.transpose(alpha))
+
+
+def head_weights(weights: AttentionWeights, m: int):
+    """Weights of head ``m`` as plain Tensors (for the single-head op)."""
+    return (Tensor(weights.q_proj.tensor.data[m]), Tensor(weights.q_bias.tensor.data[m]),
+            Tensor(weights.k_proj.tensor.data[m]), Tensor(weights.k_bias.tensor.data[m]),
+            Tensor(weights.v_proj.tensor.data[m]), Tensor(weights.v_bias.tensor.data[m]))
 
 
 def head_oracle(xq, xkv, wq, bq, wk, bk, wv, bv, pos_q=None, pos_kv=None):
@@ -137,7 +164,7 @@ class TestMultiHeadAttention:
 
         heads = []
         for m in range(2):
-            wq, bq, wk, bk, wv, bv = mha.weights.head(m)
+            wq, bq, wk, bk, wv, bv = head_weights(mha.weights, m)
             heads.append(attention_head(xq, xkv, wq, bq, wk, bk, wv, bv,
                                         pos_q, pos_kv))
         merged = T.concat(heads, axis=0)

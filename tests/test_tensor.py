@@ -76,6 +76,17 @@ class TestSoftmax:
         s = T.softmax_lastdim(Tensor(x)).data.sum(axis=-1)
         assert np.abs(s - 1.0).max() <= 1e-12
 
+    def test_numpy_softmax_bitwise_matches_inline_form(self):
+        # the form postprocessing, matching and the CLI each wrote out
+        rng = np.random.default_rng(5)
+        for shape in [(7,), (10, 4), (3, 10, 4)]:
+            x = rng.normal(size=shape) * 30
+            want = np.exp(x - x.max(axis=-1, keepdims=True))
+            want /= want.sum(axis=-1, keepdims=True)
+            assert T.softmax(x).tobytes() == want.tobytes()
+            assert T.softmax_lastdim(Tensor(x)).data.tobytes() == want.tobytes()
+            assert type(T.softmax(x)) is np.ndarray
+
 
 class TestGradCheck:
     def test_linear(self):

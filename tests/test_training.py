@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from setdet.data import SyntheticConfig
-from setdet.detector import Detector, ModelConfig, load_checkpoint
+from setdet import training
+from setdet.detector import (
+    CheckpointError,
+    Detector,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from setdet.matching import LossWeights
 from setdet.tensor import Parameter, Tensor
 from setdet.training import (
@@ -205,6 +213,33 @@ class TestTrainLoop:
                                 clip_norm=1e30, epochs=3, lr_drop_epoch=2)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(cfg, str(tmp_path / "diverge"))
+
+    def test_divergence_closes_metrics_csv(self, tmp_path, monkeypatch):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(builtins.open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(training, "open", tracking_open, raising=False)
+        cfg = tiny_train_config(lr_transformer=1e30, lr_backbone=1e30,
+                                clip_norm=1e30, epochs=3, lr_drop_epoch=2)
+        with pytest.raises(TrainingDivergedError):
+            train(cfg, str(tmp_path / "diverge"))
+        csv_handles = [fh for fh in opened if fh.name.endswith("metrics.csv")]
+        assert csv_handles and all(fh.closed for fh in csv_handles)
+
+    @pytest.mark.parametrize("kept", ["transformer", "backbone"])
+    def test_resume_rejects_optimizer_state_missing_a_group(self, tmp_path, kept):
+        cfg = tiny_train_config()
+        model = Detector(cfg.model, np.random.default_rng(cfg.seed))
+        ckpt = str(tmp_path / "ckpt.sdtr")
+        save_checkpoint(model, ckpt)
+        AdamW([(model.param_groups()[kept], 1e-4)]).save(ckpt + ".opt")
+        with open(ckpt + ".state.json", "w") as fh:
+            json.dump({"completed_epochs": 1}, fh)
+        with pytest.raises(CheckpointError, match="missing"):
+            train(cfg, str(tmp_path / "resumed"), resume=ckpt)
 
 
 def _reports_identical(a, b) -> bool:
