@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,8 +22,7 @@ from .data import (
     load_image_raw,
 )
 from .detector import Detector, load_checkpoint, save_checkpoint
-from .evaluation import panoptic_quality
-from .matching import TargetSet
+from .evaluation import greedy_match, panoptic_quality
 from .segmentation import downsample_map, panoptic_from_sample, panoptic_merge
 from .training import (
     MaskTrainConfig,
@@ -33,9 +33,16 @@ from .training import (
     train_mask_head,
 )
 
+SEED_ENV_VAR = "SDTR_SEED"
+
 
 def _load_config(path: str | None) -> TrainConfig:
-    return TrainConfig.from_json(path) if path else TrainConfig.from_dict({})
+    cfg = TrainConfig.from_json(path) if path else TrainConfig.from_dict({})
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None:
+        cfg.seed = int(env_seed)
+        print(f"seed {cfg.seed} from {SEED_ENV_VAR}")
+    return cfg
 
 
 def _load_model(cfg: TrainConfig, ckpt: str) -> Detector:
@@ -142,27 +149,12 @@ def missed_fraction(model: Detector, class_id: int, count: int, repeats: int,
             fractions.append(0.0)
             continue
         dets = model.predict(sample.image, override_empty=override_empty)
-        dets = [d for d in dets if d.class_id == class_id]
-        found = _greedy_match_count(dets, sample.targets)
+        dets = sorted((d for d in dets if d.class_id == class_id),
+                      key=lambda d: -d.confidence)
+        boxes = np.array([d.box for d in dets]).reshape(-1, 4)
+        found = int((greedy_match(iou_matrix(boxes, sample.targets.boxes), 0.5) >= 0).sum())
         fractions.append(1.0 - found / count)
     return np.array(fractions)
-
-
-def _greedy_match_count(dets, targets: TargetSet, thresh: float = 0.5) -> int:
-    if not dets or len(targets) == 0:
-        return 0
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    boxes = np.stack([dets[i].box for i in order])
-    ious = iou_matrix(boxes, targets.boxes)
-    taken = np.zeros(len(targets), dtype=bool)
-    found = 0
-    for row in ious:
-        masked = np.where(taken, -1.0, row)
-        best = int(np.argmax(masked))
-        if masked[best] >= thresh:
-            taken[best] = True
-            found += 1
-    return found
 
 
 def cmd_instances_sweep(args) -> int:

@@ -384,10 +384,14 @@ def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRe
                 boxes.append(box)
             targets = (TargetSet.create(classes, boxes) if classes
                        else TargetSet.empty())
+            seed = record.get("synthetic_seed")
+            if seed is not None and (type(seed) is not int or seed < 0):
+                raise AnnotationError(
+                    f"record {index}: synthetic_seed {seed!r} is not an integer >= 0")
             refs.append(SampleRef(
                 id=int(record["id"]), width=int(record["width"]),
                 height=int(record["height"]), targets=targets,
-                synthetic_seed=record.get("synthetic_seed"),
+                synthetic_seed=seed,
                 file=record.get("file")))
         except AnnotationError:
             raise

@@ -5,6 +5,9 @@ Headline AP is the mean over IoU thresholds 0.50:0.05:0.95 and over
 classes.  Size buckets split ground truth by box area fraction of the
 image: small < 1/64, medium < 1/16, large otherwise (the 64x64 analogue
 of the usual 32^2/96^2 pixel cutoffs).
+
+As in pycocotools' COCOeval, IoU is computed once per image and class, and
+every IoU threshold and size bucket is matched against that one matrix.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import iou_matrix
-from .detector import Detection
 from .segmentation import PanopticMap
 
 IOU_THRESHOLDS = np.arange(0.50, 0.96, 0.05)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-SMALL_AREA = 1.0 / 64.0
-MEDIUM_AREA = 1.0 / 16.0
+# box-area ranges [lo, hi): all, small, medium, large
+AREA_RANGES = ((-np.inf, np.inf), (0.0, 1 / 64), (1 / 64, 1 / 16), (1 / 16, np.inf))
 
 
 @dataclass
@@ -48,6 +50,67 @@ class EvalReport:
             json.dump(self.to_dict(), fh, indent=1, allow_nan=True)
 
 
+def greedy_match(ious, thresholds, ignored=None) -> np.ndarray:
+    """Greedy matching of ranked detections to ground truth, per threshold.
+
+    ``ious`` is [n, m] with rows in descending detection confidence.  At
+    each of the T ``thresholds``, a row takes the not yet taken column of
+    highest IoU >= threshold (the first on ties).  Columns flagged in
+    ``ignored`` ([m], or [T, m] for one mask per threshold) are tried only
+    when no other column qualifies.  Returns [T, n]: the column each row
+    took, or -1.
+    """
+    ious = np.asarray(ious, dtype=np.float64)
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    n, m = ious.shape
+    ignored = np.broadcast_to(False if ignored is None else ignored, (len(thresholds), m))
+    taken = np.zeros((len(thresholds), m), dtype=bool)
+    took = np.full((len(thresholds), n), -1)
+    if m == 0:
+        return took
+    for i, row in enumerate(ious):
+        for pool in (~ignored, ignored):
+            free = np.where(pool & ~taken, row, -1.0)
+            best = free.argmax(axis=1)
+            hit = (took[:, i] < 0) & (free.max(axis=1) >= thresholds)
+            took[hit, i] = best[hit]
+            taken[hit, best[hit]] = True
+    return took
+
+
+def _class_ap(detections_by_image, gts_by_image, thresholds, area_ranges) -> np.ndarray:
+    """AP of one class at every area range and threshold, [R, T], from one
+    IoU matrix per image; ``average_precision`` gives the rules."""
+    num_t = len(thresholds)
+    # one (range, threshold) pair per row: [R*T, 1]
+    lo, hi = np.repeat(np.asarray(area_ranges, dtype=np.float64).T, num_t, axis=1)[:, :, None]
+    confidences, outcomes, total_gt = [], [np.zeros((len(lo), 0), dtype=int)], 0
+    for dets, gts in zip(detections_by_image, gts_by_image):
+        dets = sorted(dets, key=lambda d: -d[0])
+        boxes = np.array([box for _, box in dets], dtype=np.float64).reshape(-1, 4)
+        gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+        det_area = boxes[:, 2] * boxes[:, 3]
+        # the appended NaN area lies in no range; a row that took no column reads it
+        gt_area = np.append(gts[:, 2] * gts[:, 3], np.nan)
+        gt_inside = (gt_area >= lo) & (gt_area < hi)
+        took = greedy_match(iou_matrix(boxes, gts), np.tile(thresholds, len(area_ranges)),
+                            ~gt_inside[:, :-1])
+        # +1 true positive, -1 false positive, 0 drops out of the curve
+        outcomes.append(np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=1),
+                                 -1 * ((det_area >= lo) & (det_area < hi))))
+        total_gt = total_gt + gt_inside.sum(axis=1)
+        confidences.extend(conf for conf, _ in dets)
+
+    # descending confidence; ties keep image order, then detection order
+    rank = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
+    outcomes = np.concatenate(outcomes, axis=1)[:, rank]
+    aps = np.full(len(outcomes), np.nan)
+    for k in np.flatnonzero(total_gt):
+        tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
+        aps[k] = _interpolated_ap(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
+    return aps.reshape(len(area_ranges), num_t)
+
+
 def average_precision(detections_by_image, gts_by_image, iou_thresh: float,
                       area_bucket: tuple | None = None) -> float:
     """Single-threshold AP over a set of images (class-agnostic core).
@@ -62,118 +125,43 @@ def average_precision(detections_by_image, gts_by_image, iou_thresh: float,
     ignored: detections matching ignored boxes (or unmatched detections
     whose own area is outside the bucket) drop out of the curve.
     """
-    records = []      # (confidence, image, det_index)
-    for img, dets in enumerate(detections_by_image):
-        for di, (conf, _) in enumerate(dets):
-            records.append((-conf, img, di))
-    records.sort()
-
-    gt_matched = [np.zeros(len(g), dtype=bool) for g in gts_by_image]
-    gt_ignored = []
-    total_gt = 0
-    for g in gts_by_image:
-        g = np.asarray(g, dtype=np.float64).reshape(-1, 4)
-        if area_bucket is None:
-            ignored = np.zeros(len(g), dtype=bool)
-        else:
-            areas = g[:, 2] * g[:, 3]
-            ignored = ~((areas >= area_bucket[0]) & (areas < area_bucket[1]))
-        gt_ignored.append(ignored)
-        total_gt += int((~ignored).sum())
-
-    flags = []        # True = true positive, False = false positive
-    for _, img, di in records:
-        conf, box = detections_by_image[img][di]
-        gts = np.asarray(gts_by_image[img], dtype=np.float64).reshape(-1, 4)
-        if len(gts) == 0:
-            ious = np.zeros(0)
-        else:
-            ious = iou_matrix(np.asarray(box).reshape(1, 4), gts)[0]
-        ignored = gt_ignored[img]
-        matched = gt_matched[img]
-        candidates = np.where(~matched & ~ignored, ious, -1.0)
-        best = int(np.argmax(candidates)) if len(gts) else -1
-        if best >= 0 and candidates[best] >= iou_thresh:
-            matched[best] = True
-            flags.append(True)
-            continue
-        # no real match; an ignored ground truth can absorb the detection
-        if area_bucket is not None:
-            ignorable = np.where(~matched & ignored, ious, -1.0)
-            alt = int(np.argmax(ignorable)) if len(gts) else -1
-            if alt >= 0 and ignorable[alt] >= iou_thresh:
-                matched[alt] = True
-                continue
-            area = float(box[2] * box[3])
-            if not (area_bucket[0] <= area < area_bucket[1]):
-                continue
-        flags.append(False)
-
-    if total_gt == 0:
-        return float("nan")
-    if not flags:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum([not f for f in flags])
-    recall = tp / total_gt
-    precision = tp / np.maximum(tp + fp, 1)
-    return _interpolated_ap(recall, precision)
+    return float(_class_ap(detections_by_image, gts_by_image, [iou_thresh],
+                           [area_bucket or AREA_RANGES[0]])[0, 0])
 
 
 def _interpolated_ap(recall, precision) -> float:
-    # max precision at any recall >= r, evaluated at the 101 grid points
+    # max precision at any recall >= r, evaluated at the 101 grid points;
+    # index -1 (no such recall, or no detections) reads the appended 0
     order = np.argsort(-recall, kind="stable")
-    max_prec = np.maximum.accumulate(precision[order])
-    rec_desc = recall[order]
-    idx = np.searchsorted(-rec_desc, -RECALL_POINTS, side="right") - 1
-    values = np.where(idx >= 0, max_prec[np.clip(idx, 0, None)], 0.0)
-    return float(values.mean())
+    max_prec = np.append(np.maximum.accumulate(precision[order]), 0.0)
+    idx = np.searchsorted(-recall[order], -RECALL_POINTS, side="right") - 1
+    return float(max_prec[idx].mean())
 
 
-def _split_by_class(detections, target_sets, class_id):
-    dets = [[(d.confidence, d.box) for d in image_dets if d.class_id == class_id]
-            for image_dets in detections]
-    gts = [ts.boxes[ts.classes == class_id] for ts in target_sets]
-    return dets, gts
+def _mean_over_classes(values) -> float:
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else float("nan")
 
 
 def evaluate_detections(detections, target_sets, num_classes: int) -> EvalReport:
     """Full COCO-style report; per-class APs averaged over thresholds."""
-    per_class = {}
     grid = {}
     for cls in range(num_classes):
-        dets, gts = _split_by_class(detections, target_sets, cls)
-        if sum(len(g) for g in gts) == 0:
-            continue
-        aps = [average_precision(dets, gts, t) for t in IOU_THRESHOLDS]
-        grid[cls] = aps
-        per_class[cls] = float(np.mean(aps))
-
-    def mean_at(thresh_index=None, bucket=None):
-        if not grid:
-            return float("nan")
-        if bucket is None:
-            if thresh_index is None:
-                return float(np.mean([np.mean(v) for v in grid.values()]))
-            return float(np.mean([v[thresh_index] for v in grid.values()]))
-        values = []
-        for cls in grid:
-            dets, gts = _split_by_class(detections, target_sets, cls)
-            aps = [average_precision(dets, gts, t, area_bucket=bucket)
-                   for t in IOU_THRESHOLDS]
-            aps = [a for a in aps if not np.isnan(a)]
-            if aps:
-                values.append(np.mean(aps))
-        return float(np.mean(values)) if values else float("nan")
-
+        dets = [[(d.confidence, d.box) for d in image_dets if d.class_id == cls]
+                for image_dets in detections]
+        gts = [ts.boxes[ts.classes == cls] for ts in target_sets]
+        if sum(len(g) for g in gts):
+            grid[cls] = _class_ap(dets, gts, IOU_THRESHOLDS, AREA_RANGES)
+    aps = np.array(list(grid.values())).reshape(-1, len(AREA_RANGES), len(IOU_THRESHOLDS))
+    by_range = aps.mean(axis=2)                                          # [C, R]
     return EvalReport(
-        ap=mean_at(),
-        ap50=mean_at(thresh_index=0),
-        ap75=mean_at(thresh_index=5),
-        ap_small=mean_at(bucket=(0.0, SMALL_AREA)),
-        ap_medium=mean_at(bucket=(SMALL_AREA, MEDIUM_AREA)),
-        ap_large=mean_at(bucket=(MEDIUM_AREA, np.inf)),
-        per_class_ap=per_class,
+        ap=_mean_over_classes(by_range[:, 0]),
+        ap50=_mean_over_classes(aps[:, 0, 0]),
+        ap75=_mean_over_classes(aps[:, 0, 5]),
+        ap_small=_mean_over_classes(by_range[:, 1]),
+        ap_medium=_mean_over_classes(by_range[:, 2]),
+        ap_large=_mean_over_classes(by_range[:, 3]),
+        per_class_ap={cls: float(v) for cls, v in zip(grid, by_range[:, 0])},
     )
 
 
@@ -182,21 +170,14 @@ def nms(detections: list, iou_thresh: float = 0.5) -> list:
     drop same-class boxes overlapping a kept one with IoU > threshold."""
     if not detections:
         return []
+    boxes = np.stack([d.box for d in detections])
+    classes = np.array([d.class_id for d in detections])
+    suppresses = (iou_matrix(boxes, boxes) > iou_thresh) & (classes[:, None] == classes)
     order = sorted(range(len(detections)),
                    key=lambda i: -detections[i].confidence)
     kept: list[int] = []
     for i in order:
-        det = detections[i]
-        suppressed = False
-        for j in kept:
-            other = detections[j]
-            if other.class_id != det.class_id:
-                continue
-            iou = iou_matrix(det.box.reshape(1, 4), other.box.reshape(1, 4))[0, 0]
-            if iou > iou_thresh:
-                suppressed = True
-                break
-        if not suppressed:
+        if not suppresses[i, kept].any():
             kept.append(i)
     kept.sort()
     return [detections[i] for i in kept]

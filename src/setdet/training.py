@@ -39,9 +39,6 @@ from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
 from .segmentation import MaskHead
 from .tensor import Parameter
 
-SEED_ENV_VAR = "SDTR_SEED"
-
-
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite; message carries diagnostics."""
 
@@ -115,11 +112,7 @@ class TrainConfig:
             model.dropout = dropout
         loss = LossWeights(**data.pop("loss", {}))
         synth = SyntheticConfig.from_dict(data.pop("data", {}))
-        cfg = TrainConfig(model=model, loss=loss, data=synth, **data)
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            cfg.seed = int(env_seed)
-        return cfg
+        return TrainConfig(model=model, loss=loss, data=synth, **data)
 
     @staticmethod
     def from_json(path: str) -> "TrainConfig":
@@ -276,20 +269,21 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
                       weight_decay=cfg.weight_decay)
     start_epoch = 1
     if resume is not None:
+        start_epoch = _completed_epochs(resume + ".state.json", cfg.epochs) + 1
         load_checkpoint(model, resume)
         optimizer.load(resume + ".opt")
-        with open(resume + ".state.json") as fh:
-            start_epoch = json.load(fh)["completed_epochs"] + 1
 
     train_set = build_dataset(cfg.data, cfg.train_size, TRAIN_NAMESPACE, cfg.seed)
     val_set = build_dataset(cfg.data, cfg.val_size, VAL_NAMESPACE, cfg.seed)
     params = model.parameters()
 
     csv_path = os.path.join(out_dir, "metrics.csv")
-    history = []
-    if resume is None or not os.path.exists(csv_path):
-        with open(csv_path, "w", newline="") as fh:
-            csv.writer(fh).writerow(CSV_HEADER)
+    resumed = resume is not None and os.path.exists(csv_path)
+    history = _read_history(csv_path, start_epoch) if resumed else []
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(_csv_row(row) for row in history)
 
     final_path = os.path.join(out_dir, "checkpoint_final.sdtr")
     for epoch in range(start_epoch, cfg.epochs + 1):
@@ -339,8 +333,7 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
         }
         history.append(row)
         with open(csv_path, "a", newline="") as fh:
-            csv.writer(fh).writerow([repr(row[k]) if isinstance(row[k], float)
-                                     else row[k] for k in CSV_HEADER])
+            csv.writer(fh).writerow(_csv_row(row))
         if log is not None:
             tlr, blr = cfg.lr_at(epoch)
             log(f"epoch {epoch}/{cfg.epochs} loss={row['loss']:.4f} "
@@ -351,6 +344,35 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
     _save_state(model, optimizer, cfg.epochs, final_path)
     return TrainResult(checkpoint=final_path, metrics_csv=csv_path,
                        history=history, model=model)
+
+
+def _csv_row(row: dict) -> list:
+    # repr keeps every float exact, so a resume reads back the same history
+    return [repr(row[k]) if isinstance(row[k], float) else row[k] for k in CSV_HEADER]
+
+
+def _read_history(csv_path: str, before_epoch: int) -> list:
+    """The rows of an earlier run's metrics.csv for epochs before ``before_epoch``."""
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if header != CSV_HEADER:
+        raise ValueError(f"{csv_path}: header {header} is not {CSV_HEADER}")
+    return [dict(zip(CSV_HEADER, [int(row[0])] + [float(v) for v in row[1:]]))
+            for row in rows if int(row[0]) < before_epoch]
+
+
+def _completed_epochs(path: str, epochs: int) -> int:
+    """The epoch count in a checkpoint's progress file, checked against the run."""
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: not a JSON progress file: {exc}") from None
+    done = state.get("completed_epochs") if isinstance(state, dict) else None
+    if type(done) is not int or not 1 <= done <= epochs:
+        raise CheckpointError(f"{path}: completed_epochs must be an integer in "
+                              f"[1, {epochs}], got {done!r}")
+    return done
 
 
 def _save_state(model, optimizer, epoch, path):

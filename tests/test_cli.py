@@ -4,9 +4,16 @@ import os
 import numpy as np
 import pytest
 
-from setdet.cli import main, missed_fraction
-from setdet.data import SyntheticConfig, build_dataset, save_annotations, save_image_raw
-from setdet.detector import ModelConfig
+from setdet.boxes import iou_matrix
+from setdet.cli import _load_model, main, missed_fraction
+from setdet.data import (
+    SyntheticConfig,
+    build_dataset,
+    grid_instances_scene,
+    save_annotations,
+    save_image_raw,
+)
+from setdet.detector import Detection, ModelConfig
 from setdet.training import TrainConfig
 
 TINY = {
@@ -99,11 +106,99 @@ def test_instances_sweep_runs(trained, tmp_path):
 
 
 def test_missed_fraction_bounds(trained):
-    from setdet.cli import _load_model
     model = _load_model(trained["cfg"], trained["ckpt"])
     fractions = missed_fraction(model, 0, 4, repeats=2, seed=0, side=40,
                                 object_size=3)
     assert ((fractions >= 0) & (fractions <= 1)).all()
+
+
+def greedy_match_count_reference(dets, targets, thresh=0.5):
+    """The instance sweep's own matching loop before it used greedy_match."""
+    if not dets or len(targets) == 0:
+        return 0
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    boxes = np.stack([dets[i].box for i in order])
+    ious = iou_matrix(boxes, targets.boxes)
+    taken = np.zeros(len(targets), dtype=bool)
+    found = 0
+    for row in ious:
+        masked = np.where(taken, -1.0, row)
+        best = int(np.argmax(masked))
+        if masked[best] >= thresh:
+            taken[best] = True
+            found += 1
+    return found
+
+
+def missed_fraction_reference(model, class_id, count, repeats, seed, side, object_size):
+    fractions = []
+    for rep in range(repeats):
+        rng = np.random.default_rng([seed, 5, count, rep])
+        sample = grid_instances_scene(class_id, count, rng, side=side,
+                                      object_size=object_size,
+                                      num_classes=model.config.num_classes)
+        if count == 0:
+            fractions.append(0.0)
+            continue
+        dets = [d for d in model.predict(sample.image) if d.class_id == class_id]
+        fractions.append(1.0 - greedy_match_count_reference(dets, sample.targets) / count)
+    return fractions
+
+
+def test_missed_fraction_matches_reference_loop(trained):
+    model = _load_model(trained["cfg"], trained["ckpt"])
+    for class_id, count in ((0, 0), (0, 1), (0, 4), (1, 9)):
+        got = missed_fraction(model, class_id, count, repeats=3, seed=2, side=40,
+                              object_size=3)
+        want = missed_fraction_reference(model, class_id, count, 3, 2, 40, 3)
+        assert got.tolist() == want
+
+
+class _ScriptedModel:
+    """Stands in for a Detector: predict returns fixed detections."""
+
+    def __init__(self, detections):
+        self.detections = detections
+        self.config = ModelConfig(**TINY["model"])
+
+    def predict(self, image, override_empty=True):
+        return self.detections
+
+
+def test_match_count_against_reference_loop():
+    # detections scattered over the grid cells, so some hit and some tie
+    rng = np.random.default_rng(8)
+    for case in range(100):
+        count = int(rng.integers(1, 10))
+        sample = grid_instances_scene(0, count, np.random.default_rng([case, 5, count, 0]),
+                                      side=40, object_size=3, num_classes=2)
+        dets = []
+        for box in sample.targets.boxes[rng.random(count) < 0.7]:
+            for _ in range(int(rng.integers(1, 3))):
+                dets.append(Detection(int(rng.integers(0, 2)), round(float(rng.random()), 1),
+                                      box + rng.normal(0.0, 0.01, 4)))
+        got = missed_fraction(_ScriptedModel(dets), 0, count, repeats=1, seed=case,
+                              side=40, object_size=3)
+        found = greedy_match_count_reference([d for d in dets if d.class_id == 0],
+                                             sample.targets)
+        assert got.tolist() == [1.0 - found / count]
+
+
+def test_env_seed_override(trained, tmp_path, monkeypatch, capsys):
+    cfg = TrainConfig(**{**TINY, "seed": 3, "model": ModelConfig(**TINY["model"]),
+                         "data": SyntheticConfig(**TINY["data"])})
+    path = str(tmp_path / "cfg.json")
+    cfg.to_json(path)
+    monkeypatch.setenv("SDTR_SEED", "42")
+    assert TrainConfig.from_json(path).seed == 3      # the config reader ignores it
+    code = main(["eval", "--ckpt", trained["ckpt"], "--config", path,
+                 "--report", str(tmp_path / "report.json")])
+    assert code == 0
+    assert "seed 42 from SDTR_SEED" in capsys.readouterr().out.splitlines()
+    monkeypatch.delenv("SDTR_SEED")
+    assert main(["eval", "--ckpt", trained["ckpt"], "--config", path,
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert "SDTR_SEED" not in capsys.readouterr().out
 
 
 def test_mask_pipeline_end_to_end(trained, tmp_path):

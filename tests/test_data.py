@@ -149,16 +149,16 @@ class TestAnnotations:
         assert load_annotations(path) == []
 
     def test_out_of_range_box_rejected_with_index(self, tmp_path):
-        record = {"images": [
-            {"id": 0, "width": 64, "height": 64,
-             "objects": [{"class": 0, "box": [0.5, 0.5, 0.2, 0.2]}]},
-            {"id": 1, "width": 64, "height": 64,
-             "objects": [{"class": 0, "box": [0.5, 0.5, 1.2, 0.2]}]},
-        ]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(record))
-        with pytest.raises(AnnotationError, match="record 1"):
-            load_annotations(str(path))
+        good = {"id": 0, "width": 64, "height": 64, "synthetic_seed": 0,
+                "objects": [{"class": 0, "box": [0.5, 0.5, 0.2, 0.2]}]}
+        # an out-of-range box, and synthetic seeds that are not integers >= 0
+        for bad in ({"objects": [{"class": 0, "box": [0.5, 0.5, 1.2, 0.2]}]},
+                    {"synthetic_seed": -1}, {"synthetic_seed": "7"},
+                    {"synthetic_seed": 2.5}, {"synthetic_seed": True}):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"images": [good, {**good, "id": 1, **bad}]}))
+            with pytest.raises(AnnotationError, match="record 1"):
+                load_annotations(str(path))
 
     def test_unknown_class_rejected(self, tmp_path):
         record = {"images": [{"id": 0, "width": 64, "height": 64,

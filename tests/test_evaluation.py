@@ -1,12 +1,18 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from setdet import evaluation
 from setdet.boxes import iou_matrix
 from setdet.detector import Detection
 from setdet.evaluation import (
+    IOU_THRESHOLDS,
     EvalReport,
     average_precision,
     evaluate_detections,
+    greedy_match,
     nms,
     panoptic_quality,
 )
@@ -107,6 +113,21 @@ class TestAveragePrecision:
         values = [average_precision(dets, gts, t) for t in np.arange(0.5, 0.96, 0.05)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_area_bucket_ignores_other_sizes(self):
+        small = np.array([0.2, 0.2, 0.1, 0.1])
+        large = np.array([0.6, 0.6, 0.5, 0.5])
+        dets = [[(0.95, np.array([0.3, 0.7, 0.4, 0.4])),    # misses; large area
+                 (0.9, large.copy()), (0.8, small.copy())]]
+        gts = [np.stack([small, large])]
+        # a hit on out-of-range ground truth, or a miss outside the range,
+        # drops out of the curve
+        assert average_precision(dets, gts, 0.5, (0.0, 1 / 64)) == \
+            pytest.approx(ap_oracle([True], 1), abs=1e-12)
+        assert average_precision(dets, gts, 0.5, (1 / 16, np.inf)) == \
+            pytest.approx(ap_oracle([False, True], 1), abs=1e-12)
+        assert average_precision(dets, gts, 0.5) == \
+            pytest.approx(ap_oracle([False, True, True], 2), abs=1e-12)
+
 
 class TestEvaluateDetections:
     def test_perfect_report(self):
@@ -135,6 +156,167 @@ class TestEvaluateDetections:
         detections = [[Detection(1, 0.9, box.copy())]]
         report = evaluate_detections(detections, targets, 2)
         assert report.ap == 0.0
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                       "evaluate_detections_reports.json")
+
+# name -> (seed, range of box sides); in the last scene set the zero-area
+# box is the only small ground truth and none is medium, so AP_M is NaN
+SCENARIOS = {"seed0": (0, (0.05, 0.45)), "seed3": (3, (0.05, 0.45)),
+             "seed7": (7, (0.05, 0.45)), "large_only": (11, (0.3, 0.45))}
+
+
+def scored_scenes(seed, sides, images=24, num_classes=4):
+    """Seeded ground truth with about ten scored detections per image.
+
+    Each object gets a detection (one in five a duplicate) shifted to an IoU
+    drawn from [0.45, 1), one in ten with a wrong class; random boxes fill
+    the rest up to ten.  Ground truth uses classes 0-2 only, so class 3 has
+    detections but no ground truth.  Odd images round confidences to a
+    tenth, so confidences tie within and across images.  Image 0 has no
+    ground truth, image 1 no detections, and image 2 a zero-area ground
+    truth box and a zero-area detection.
+    """
+    rng = np.random.default_rng([seed, 11])
+    detections, targets = [], []
+    for img in range(images):
+        n = 0 if img == 0 else int(rng.integers(1, 6))
+        w, h = rng.uniform(*sides, (2, n))
+        boxes = np.stack([rng.uniform(w / 2, 1 - w / 2),
+                          rng.uniform(h / 2, 1 - h / 2), w, h], axis=-1)
+        classes = rng.integers(num_classes - 1, size=n)
+        if img == 2:
+            boxes[0, 2] = 0.0
+        dets = []
+        for cls, box in zip(classes, boxes):
+            for _ in range(1 + (rng.random() < 0.2)):
+                target_iou = rng.uniform(0.45, 1.0)
+                label = int(cls) if rng.random() < 0.9 else int(rng.integers(num_classes))
+                axis = int(rng.integers(2))
+                shifted = box.copy()
+                shifted[axis] += (rng.choice((-1.0, 1.0)) * box[axis + 2]
+                                  * (1.0 - target_iou) / (1.0 + target_iou))
+                confidence = 0.5 * target_iou + 0.5 * rng.random()
+                dets.append(Detection(label, float(confidence), shifted))
+        while len(dets) < 10:
+            bw, bh = rng.uniform(*sides, 2)
+            box = np.array([rng.uniform(bw / 2, 1 - bw / 2),
+                            rng.uniform(bh / 2, 1 - bh / 2), bw, bh])
+            dets.append(Detection(int(rng.integers(num_classes)),
+                                  float(0.6 * rng.random()), box))
+        dets = dets[:10]
+        if img % 2:
+            dets = [Detection(d.class_id, round(d.confidence, 1), d.box) for d in dets]
+        if img == 1:
+            dets = []
+        if img == 2:
+            dets.append(Detection(int(classes[0]), 0.7, np.array([0.5, 0.5, 0.0, 0.1])))
+        detections.append(dets)
+        targets.append(TargetSet.create(classes, boxes))
+    return detections, targets, num_classes
+
+
+def report_reprs(report: EvalReport) -> dict:
+    """The report with every float as its repr, so equality is bitwise."""
+    data = report.to_dict()
+    per_class = data.pop("per_class_AP")
+    data = {k: repr(v) for k, v in data.items()}
+    data["per_class_AP"] = {k: repr(v) for k, v in per_class.items()}
+    return data
+
+
+class TestFrozenReports:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_bitwise_equal_to_recorded_report(self, name):
+        with open(FIXTURE) as fh:
+            want = json.load(fh)[name]
+        detections, targets, num_classes = scored_scenes(*SCENARIOS[name])
+        assert report_reprs(evaluate_detections(detections, targets, num_classes)) == want
+
+    def test_iou_computed_once_per_image_and_class(self, monkeypatch):
+        calls = []
+
+        def counting_iou(a, b):
+            calls.append(1)
+            return iou_matrix(a, b)
+
+        monkeypatch.setattr(evaluation, "iou_matrix", counting_iou)
+        detections, targets, num_classes = scored_scenes(*SCENARIOS["seed0"])
+        evaluate_detections(detections, targets, num_classes)
+        classes_with_gt = len(np.unique(np.concatenate([t.classes for t in targets])))
+        assert len(calls) == len(targets) * classes_with_gt
+
+
+def greedy_match_reference(ious, thresh, ignored):
+    """The per-detection loop of average_precision before greedy_match,
+    one threshold at a time."""
+    matched = np.zeros(ious.shape[1], dtype=bool)
+    took = []
+    for row in ious:
+        candidates = np.where(~matched & ~ignored, row, -1.0)
+        best = int(np.argmax(candidates)) if len(row) else -1
+        if best >= 0 and candidates[best] >= thresh:
+            matched[best] = True
+            took.append(best)
+            continue
+        ignorable = np.where(~matched & ignored, row, -1.0)
+        alt = int(np.argmax(ignorable)) if len(row) else -1
+        if alt >= 0 and ignorable[alt] >= thresh:
+            matched[alt] = True
+            took.append(alt)
+            continue
+        took.append(-1)
+    return took
+
+
+class TestGreedyMatch:
+    def test_against_per_threshold_loop(self):
+        rng = np.random.default_rng(5)
+        # few distinct values, so IoUs tie with each other and with thresholds
+        levels = np.concatenate([[0.0, 0.3], IOU_THRESHOLDS, [0.97, 1.0]])
+        for case in range(400):
+            n, m = rng.integers(0, 7, 2)
+            ious = rng.choice(levels, (n, m))
+            if case % 4 == 0:
+                ignored = None
+                masks = np.zeros((len(IOU_THRESHOLDS), m), dtype=bool)
+            elif case % 4 == 1:
+                ignored = masks = rng.random((len(IOU_THRESHOLDS), m)) < 0.3
+            else:
+                ignored = rng.random(m) < 0.3
+                masks = np.broadcast_to(ignored, (len(IOU_THRESHOLDS), m))
+            took = greedy_match(ious, IOU_THRESHOLDS, ignored)
+            assert took.shape == (len(IOU_THRESHOLDS), n)
+            for t, thresh in enumerate(IOU_THRESHOLDS):
+                assert took[t].tolist() == greedy_match_reference(ious, thresh, masks[t])
+
+    def test_scalar_threshold(self):
+        ious = np.array([[0.6, 0.9], [0.9, 0.2]])
+        assert greedy_match(ious, 0.5).tolist() == [[1, 0]]
+        assert greedy_match(ious, 0.95).tolist() == [[-1, -1]]
+
+
+def nms_reference(detections, iou_thresh):
+    """nms before it read one IoU matrix: one single-pair IoU per
+    (candidate, kept) pair."""
+    order = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
+    kept = []
+    for i in order:
+        det = detections[i]
+        suppressed = False
+        for j in kept:
+            other = detections[j]
+            if other.class_id != det.class_id:
+                continue
+            iou = iou_matrix(det.box.reshape(1, 4), other.box.reshape(1, 4))[0, 0]
+            if iou > iou_thresh:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(i)
+    kept.sort()
+    return [detections[i] for i in kept]
 
 
 class TestNms:
@@ -172,6 +354,21 @@ class TestNms:
         assert ids <= {id(d) for d in dets}
         again = nms(kept, 0.5)
         assert [id(k) for k in again] == [id(k) for k in kept]
+
+
+    def test_against_pairwise_loop(self):
+        rng = np.random.default_rng(4)
+        for case in range(200):
+            n = int(rng.integers(0, 12))
+            # sixteenths are exact, so some IoUs equal the threshold exactly;
+            # a zero side gives zero-area boxes
+            dets = [Detection(int(rng.integers(0, 3)), round(float(rng.random()), 1),
+                              np.concatenate([rng.integers(4, 13, 2),
+                                              rng.integers(0, 9, 2)]) / 16)
+                    for _ in range(n)]
+            thresh = float(rng.choice([0.25, 0.5, 0.75]))
+            assert [id(d) for d in nms(dets, thresh)] == \
+                [id(d) for d in nms_reference(dets, thresh)]
 
 
 def two_band_map(split, class_top=0, class_bottom=1, thing_top=True):
@@ -257,7 +454,6 @@ def test_report_serialization(tmp_path):
                         ap_medium=0.6, ap_large=0.7, per_class_ap={0: 0.5})
     path = str(tmp_path / "report.json")
     report.to_json(path)
-    import json
     with open(path) as fh:
         data = json.load(fh)
     assert data["AP50"] == 0.8

@@ -141,13 +141,6 @@ class TestTrainConfig:
         loaded = TrainConfig.from_json(path)
         assert loaded.to_dict() == cfg.to_dict()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = tiny_train_config(seed=3)
-        path = str(tmp_path / "cfg.json")
-        cfg.to_json(path)
-        monkeypatch.setenv("SDTR_SEED", "42")
-        assert TrainConfig.from_json(path).seed == 42
-
     def test_top_level_dropout_override(self):
         cfg = TrainConfig.from_dict({"dropout": 0.25,
                                      "model": ModelConfig(**TINY_MODEL).to_dict(),
@@ -183,6 +176,35 @@ class TestTrainLoop:
         resumed = train(full_cfg, str(tmp_path / "resumed"), resume=drop_ckpt)
         for pa, pb in zip(full.model.parameters(), resumed.model.parameters()):
             assert np.abs(pa.tensor.data - pb.tensor.data).max() <= 1e-12
+
+    def test_resume_into_same_dir_keeps_metrics_and_history(self, tmp_path):
+        cfg = tiny_train_config(epochs=4, lr_drop_epoch=2)
+        full = train(cfg, str(tmp_path / "full"))
+        run = str(tmp_path / "run")
+        train(cfg, run)
+        resumed = train(cfg, run, resume=os.path.join(run, "checkpoint_epoch2.sdtr"))
+        assert open(resumed.metrics_csv).read() == open(full.metrics_csv).read()
+        assert resumed.history == full.history
+        assert [row["epoch"] for row in resumed.history] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("content", [
+        "{}", "not json", '{"completed_epochs": "2"}', '{"completed_epochs": 2.5}',
+        '{"completed_epochs": true}', '{"completed_epochs": 0}',
+        '{"completed_epochs": 3}', "[2]"],
+        ids=["empty", "not-json", "string", "float", "bool", "zero", "past-last-epoch",
+             "list"])
+    def test_resume_rejects_bad_progress_file_before_loading(self, tmp_path, content):
+        cfg = tiny_train_config()
+        ckpt = str(tmp_path / "ckpt.sdtr")
+        # checkpoint and optimizer files that would fail to load: the
+        # progress file must be checked first
+        for path in (ckpt, ckpt + ".opt"):
+            with open(path, "wb") as fh:
+                fh.write(b"junk")
+        with open(ckpt + ".state.json", "w") as fh:
+            fh.write(content)
+        with pytest.raises(CheckpointError, match="ckpt.sdtr.state.json"):
+            train(cfg, str(tmp_path / "resumed"), resume=ckpt)
 
     def test_checkpoint_roundtrip_reproduces_eval(self, tmp_path):
         cfg = tiny_train_config()
