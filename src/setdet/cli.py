@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -40,7 +41,10 @@ def _load_config(path: str | None) -> TrainConfig:
     cfg = TrainConfig.from_json(path) if path else TrainConfig.from_dict({})
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        except ValueError as exc:
+            raise ValueError(f"{SEED_ENV_VAR}={env_seed!r}: {exc}") from None
         print(f"seed {cfg.seed} from {SEED_ENV_VAR}")
     return cfg
 

@@ -146,9 +146,6 @@ class Backbone:
     def parameters(self):
         return [p for pair in self.convs for p in pair]
 
-    def parameter_count(self) -> int:
-        return sum(p.tensor.size for p in self.parameters())
-
 
 class Detector:
     """The full model.  Forward accepts [3,H,W] or [B,3,H,W] arrays."""

@@ -570,7 +570,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution: x [B,C,H,W] (or [C,H,W]), w [O,C,kh,kw], b [O]."""
+    """2-d convolution: x [B,C,H,W] (or [C,H,W]), w [O,C,kh,kw], b [O].
+
+    The x-gradient (col2im) adds each kernel tap's column gradient into the
+    padded input with one strided slice, kh*kw adds in all, with no scatter.
+    """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or w.ndim != 4:
@@ -579,6 +583,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     O, Cw, kh, kw = w.shape
     if C != Cw:
         raise DimensionError(f"conv2d: channel mismatch between {x.shape} and {w.shape}")
+    if b is not None and b.shape != (O,):
+        raise DimensionError(f"conv2d: bias b must have shape ({O},), got {b.shape}")
+    for name, value, low in (("stride", stride, 1), ("padding", padding, 0)):
+        if type(value) is not int or value < low:
+            raise DimensionError(f"conv2d: {name} must be an int >= {low}, got {value!r}")
     Ho = (H + 2 * padding - kh) // stride + 1
     Wo = (W + 2 * padding - kw) // stride + 1
     if Ho <= 0 or Wo <= 0:
@@ -606,20 +615,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         if b is not None and b.requires_grad:
             _accumulate(b, gmat.sum(axis=0), owned=True)
         if x.requires_grad:
-            gcols = gmat @ wmat                       # [B*Ho*Wo, C*kh*kw]
-            Hp, Wp = H + 2 * padding, W + 2 * padding
-            gp = np.zeros((B, C, Hp * Wp))
-            oy, ox = np.meshgrid(np.arange(Ho) * stride, np.arange(Wo) * stride,
-                                 indexing="ij")
-            uy, ux = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
-            flat = ((oy.reshape(-1, 1) + uy.reshape(1, -1)) * Wp
-                    + (ox.reshape(-1, 1) + ux.reshape(1, -1)))     # [HoWo, khkw]
-            vals = gcols.reshape(B, Ho * Wo, C, kh * kw).transpose(0, 2, 1, 3)
-            np.add.at(gp, (slice(None), slice(None), flat.reshape(-1)),
-                      vals.reshape(B, C, -1))
-            gx = gp.reshape(B, C, Hp, Wp)
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
+            gcols = (gmat @ wmat).reshape(B, Ho, Wo, C, kh, kw)
+            gp = np.zeros((B, H + 2 * padding, W + 2 * padding, C))
+            # Descending (uy, ux) adds each input pixel's terms in ascending
+            # (oy, ox), the order of the np.add.at reference in the tests,
+            # so the two agree bitwise.
+            for uy in range(kh - 1, -1, -1):
+                for ux in range(kw - 1, -1, -1):
+                    gp[:, uy:uy + stride * Ho:stride,
+                       ux:ux + stride * Wo:stride] += gcols[..., uy, ux]
+            gx = gp.transpose(0, 3, 1, 2)[:, :, padding:padding + H, padding:padding + W]
             _accumulate(x, gx[0] if squeeze else gx, owned=True)
 
     return _result(out, (x, w) if b is None else (x, w, b), backward)

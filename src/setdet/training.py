@@ -69,6 +69,8 @@ class TrainConfig:
                 f"lr_drop_epoch {self.lr_drop_epoch} must be in [1, {self.epochs})")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.data.max_objects > self.model.num_queries:
             raise ValueError(
                 f"{self.data.max_objects} objects exceed {self.model.num_queries} slots")

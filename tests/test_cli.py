@@ -201,6 +201,24 @@ def test_env_seed_override(trained, tmp_path, monkeypatch, capsys):
     assert "SDTR_SEED" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["-1", "abc", "true"])
+def test_bad_env_seed_names_the_variable(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("SDTR_SEED", value)
+    with pytest.raises(ValueError, match=f"SDTR_SEED='{value}'"):
+        main(["eval", "--ckpt", str(tmp_path / "never_read.sdtr"),
+              "--report", str(tmp_path / "report.json")])
+
+
+@pytest.mark.parametrize("seed", [-1, "abc", "3", True])
+def test_bad_config_seed_rejected(tmp_path, monkeypatch, seed):
+    monkeypatch.delenv("SDTR_SEED", raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": seed}))
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        main(["eval", "--ckpt", str(tmp_path / "never_read.sdtr"), "--config",
+              str(path), "--report", str(tmp_path / "report.json")])
+
+
 def test_mask_pipeline_end_to_end(trained, tmp_path):
     mask_ckpt = str(tmp_path / "mask.sdtr")
     code = main(["train-mask", "--ckpt", trained["ckpt"], "--config",

@@ -59,7 +59,7 @@ class TestBackbone:
         model = tiny_model()
         plan = [(3, 4), (4, 6), (6, 8)]
         want = sum(co * ci * 9 + co for ci, co in plan)
-        assert model.backbone.parameter_count() == want
+        assert sum(p.tensor.size for p in model.backbone.parameters()) == want
 
     def test_indivisible_side_rejected(self):
         model = tiny_model()

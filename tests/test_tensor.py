@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from setdet import tensor as T
+from setdet.matching import LossWeights, TargetSet, total_loss
 from setdet.tensor import DimensionError, Tensor, grad_check
+from test_detector import tiny_model
 
 
 def matmul_oracle(a, b):
@@ -251,6 +253,67 @@ class TestLayerNorm:
         assert grad_check(lambda t: scalarize(T.layer_norm(x, g, t)), b, eps=1e-5) <= 1e-5
 
 
+def scatter_conv2d(x, w, b=None, stride=1, padding=0):
+    """The earlier conv2d, whose col2im scatters through np.add.at: the
+    reference the strided-add x-gradient must equal bitwise."""
+    squeeze = x.ndim == 3
+    xd = x.data[None] if squeeze else x.data
+    B, C, H, W = xd.shape
+    O, Cw, kh, kw = w.shape
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    if padding:
+        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    else:
+        xp = xd
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
+    wmat = w.data.reshape(O, C * kh * kw)
+    out = cols @ wmat.T
+    if b is not None:
+        out += b.data
+    out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
+    if squeeze:
+        out = out[0]
+
+    def backward(g):
+        gd = g[None] if squeeze else g
+        gmat = gd.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
+        if w.requires_grad:
+            T._accumulate(w, (gmat.T @ cols).reshape(w.shape), owned=True)
+        if b is not None and b.requires_grad:
+            T._accumulate(b, gmat.sum(axis=0), owned=True)
+        if x.requires_grad:
+            gcols = gmat @ wmat
+            Hp, Wp = H + 2 * padding, W + 2 * padding
+            gp = np.zeros((B, C, Hp * Wp))
+            oy, ox = np.meshgrid(np.arange(Ho) * stride, np.arange(Wo) * stride,
+                                 indexing="ij")
+            uy, ux = np.meshgrid(np.arange(kh), np.arange(kw), indexing="ij")
+            flat = ((oy.reshape(-1, 1) + uy.reshape(1, -1)) * Wp
+                    + (ox.reshape(-1, 1) + ux.reshape(1, -1)))
+            vals = gcols.reshape(B, Ho * Wo, C, kh * kw).transpose(0, 2, 1, 3)
+            np.add.at(gp, (slice(None), slice(None), flat.reshape(-1)),
+                      vals.reshape(B, C, -1))
+            gx = gp.reshape(B, C, Hp, Wp)
+            if padding:
+                gx = gx[:, :, padding:-padding, padding:-padding]
+            T._accumulate(x, gx[0] if squeeze else gx, owned=True)
+
+    return T._result(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def conv_x_grad(conv, x, w, stride, padding, upstream_seed):
+    """x-gradient of <conv(x, w), g> for a fixed seeded upstream g with zeros."""
+    xt = Tensor(x, requires_grad=True)
+    out = conv(xt, Tensor(w), None, stride=stride, padding=padding)
+    g = np.random.default_rng(upstream_seed).uniform(-1, 1, out.shape)
+    g[g < -0.6] = 0.0
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    return np.ascontiguousarray(xt.grad)
+
+
 class TestConv2d:
     @staticmethod
     def conv_oracle(x, w, b, stride, padding):
@@ -282,17 +345,83 @@ class TestConv2d:
 
     def test_gradients(self):
         rng = np.random.default_rng(18)
-        x = Tensor(rng.uniform(-1, 1, (1, 2, 5, 5)))
-        w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
-        b = Tensor(rng.uniform(-1, 1, 3))
-        fn = lambda xx, ww, bb: scalarize(T.conv2d(xx, ww, bb, stride=2, padding=1))
-        assert grad_check(lambda t: fn(t, w, b), x, eps=1e-5) <= 1e-5
-        assert grad_check(lambda t: fn(x, t, b), w, eps=1e-5) <= 1e-5
-        assert grad_check(lambda t: fn(x, w, t), b, eps=1e-5) <= 1e-5
+        for k, stride, padding in [(3, 2, 1), (1, 1, 0), (2, 3, 0), (5, 1, 2), (3, 3, 2)]:
+            x = Tensor(rng.uniform(-1, 1, (1, 2, 5, 6)))
+            w = Tensor(rng.uniform(-1, 1, (3, 2, k, k)))
+            b = Tensor(rng.uniform(-1, 1, 3))
+            fn = lambda xx, ww, bb: scalarize(T.conv2d(xx, ww, bb, stride=stride,
+                                                       padding=padding))
+            assert grad_check(lambda t: fn(t, w, b), x, eps=1e-5) <= 1e-5
+            assert grad_check(lambda t: fn(x, t, b), w, eps=1e-5) <= 1e-5
+            assert grad_check(lambda t: fn(x, w, t), b, eps=1e-5) <= 1e-5
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_x_gradient_bitwise_matches_scatter(self, k, stride, padding, batch):
+        rng = np.random.default_rng([k, stride, padding, batch])
+        x = rng.uniform(-1, 1, (batch, 2, 7, 9))
+        w = rng.uniform(-1, 1, (4, 2, k, k))
+        got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=1)
+        want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        if stride > k:     # some input pixels lie under no kernel tap
+            assert (got == 0).any()
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 3, 1), (5, 1, 2)])
+    def test_unbatched_x_gradient_bitwise_matches_scatter(self, k, stride, padding):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, (3, 8, 6))
+        w = rng.uniform(-1, 1, (2, 3, k, k))
+        got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=2)
+        want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=2)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_train_step_gradients_bitwise_match_scatter(self, monkeypatch):
+        def step_grads():
+            model = tiny_model(seed=4)
+            rng = np.random.default_rng(22)
+            targets = [TargetSet.create([0], [[0.5, 0.5, 0.4, 0.4]]),
+                       TargetSet.create([1, 0], [[0.3, 0.3, 0.2, 0.3],
+                                                 [0.7, 0.6, 0.3, 0.2]])]
+            out = model.forward(rng.random((2, 3, 16, 16)), train=True,
+                                rng=np.random.default_rng(23))
+            loss, _ = total_loss(out.layers, targets, LossWeights())
+            loss.backward()
+            return {p.name: p.tensor.grad for p in model.parameters()}
+
+        got = step_grads()
+        monkeypatch.setattr(T, "conv2d", scatter_conv2d)
+        want = step_grads()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert want[name] is not None, name
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 4, 3, 3))))
+
+    def test_bias_shape_must_match_out_channels(self):
+        x, w = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(DimensionError, match=r"bias b must have shape \(3,\)"):
+            T.conv2d(x, w, Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("stride", [0, -1, 1.0, True])
+    def test_stride_must_be_positive_int(self, stride):
+        x, w = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(DimensionError, match="stride"):
+            T.conv2d(x, w, stride=stride)
+
+    @pytest.mark.parametrize("padding", [-1, 0.5])
+    def test_padding_must_be_natural_int(self, padding):
+        x, w = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(DimensionError, match="padding"):
+            T.conv2d(x, w, padding=padding)
 
 
 class TestUpsample:

@@ -134,6 +134,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_train_config(data=SyntheticConfig(**{**TINY_DATA, "max_objects": 9}))
 
+    @pytest.mark.parametrize("seed", [-1, "abc", "3", True, 2.0])
+    def test_seed_must_be_natural_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig.from_dict({"seed": seed})
+
     def test_json_roundtrip(self, tmp_path):
         cfg = tiny_train_config()
         path = str(tmp_path / "cfg.json")
