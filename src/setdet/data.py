@@ -315,7 +315,13 @@ class SampleRef:
 
     def materialize(self, cfg: SyntheticConfig) -> Sample:
         if self.file is not None:
-            return Sample(image=load_image_raw(self.file), targets=self.targets)
+            image = load_image_raw(self.file)
+            h, w = image.shape[1:]
+            if (w, h) != (self.width, self.height):
+                raise AnnotationError(
+                    f"record {self.id}: {self.file} is {w}x{h}, the record "
+                    f"says {self.width}x{self.height}")
+            return Sample(image=image, targets=self.targets)
         if self.synthetic_seed is None:
             raise AnnotationError(f"record {self.id} has neither file nor seed")
         seed, ns, idx = _unpack_seed(self.synthetic_seed)

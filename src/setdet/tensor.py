@@ -15,6 +15,7 @@ shape raise ``DimensionError`` instead of silently outer-broadcasting.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -29,27 +30,35 @@ class EvaluationError(RuntimeError):
     """Raised when a checked function produces non-finite output."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    enabled = True          # every thread starts with recording on
+
+
+_GRAD = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording inside the block (inference fast path).
+
+    The flag is per thread: a block in one thread leaves recording in the
+    others as it was.
+    """
+    prev = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
 
 
 class _MultiplyCounter:
-    __slots__ = ("active", "count")
+    __slots__ = ("active", "count", "lock")
 
     def __init__(self):
         self.active = False
         self.count = 0
+        self.lock = threading.Lock()
 
 
 _COUNTER = _MultiplyCounter()
@@ -61,7 +70,8 @@ def count_matmul_multiplies():
 
     Only matrix-product multiplies are counted (m*k*n per 2-d product,
     times the broadcast batch size); elementwise work is excluded.  The
-    counter object exposes the running total as ``.count``.
+    counter object exposes the running total as ``.count``.  Products run
+    by every thread are counted while the block is open.
     """
     _COUNTER.active = True
     _COUNTER.count = 0
@@ -195,7 +205,7 @@ def _const(value) -> Tensor:
 def _result(data, parents, backward) -> Tensor:
     """Wrap an op result, recording the tape only when a parent needs it."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -400,7 +410,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if _COUNTER.active:
         m, k = a.shape[-2], a.shape[-1]
         n = b.shape[-1]
-        _COUNTER.count += int(np.prod(batch, dtype=np.int64)) * m * k * n
+        multiplies = int(np.prod(batch, dtype=np.int64)) * m * k * n
+        with _COUNTER.lock:
+            _COUNTER.count += multiplies
 
     def backward(g):
         if a.requires_grad:

@@ -20,6 +20,7 @@ from setdet.data import (
     save_image_raw,
     scene_rng,
 )
+from setdet.matching import TargetSet
 
 
 class TestGenerateScene:
@@ -190,6 +191,21 @@ class TestRawImages:
         path.write_bytes(b"JUNK" + b"\x00" * 8)
         with pytest.raises(AnnotationError):
             load_image_raw(str(path))
+
+    def test_materialize_checks_the_recorded_size(self, tmp_path):
+        path = str(tmp_path / "img.simg")
+        save_image_raw(path, np.zeros((3, 8, 6)))     # 6 wide, 8 high
+        empty = TargetSet.create([], [])
+        sample = SampleRef(id=4, width=6, height=8, targets=empty,
+                           file=path).materialize(SyntheticConfig())
+        assert sample.image.shape == (3, 8, 6)
+        for width, height in ((8, 6), (6, 6), (7, 8)):
+            ref = SampleRef(id=4, width=width, height=height, targets=empty,
+                            file=path)
+            with pytest.raises(AnnotationError,
+                               match=f"record 4: .* is 6x8, the record says "
+                                     f"{width}x{height}"):
+                ref.materialize(SyntheticConfig())
 
 
 def test_pack_seed_rejects_aliasing_fields():

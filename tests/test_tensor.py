@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -481,3 +485,62 @@ def test_no_grad_suppresses_tape():
     with T.no_grad():
         out = T.mul(x, 2.0)
     assert out._backward is None and not out.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # the worker holds no_grad open while the main thread records, and a
+    # fresh thread records whatever the main thread's state
+    x = Tensor(np.ones(3), requires_grad=True)
+    inside, done = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def worker():
+        with T.no_grad():
+            inside.wait()
+            seen["worker"] = T.mul(x, 2.0).requires_grad
+            done.wait()
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    inside.wait()
+    seen["main"] = T.mul(x, 2.0).requires_grad
+    done.wait()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+    def fresh():
+        seen["fresh"] = T.mul(x, 2.0).requires_grad
+
+    with T.no_grad():
+        thread = threading.Thread(target=fresh)
+        thread.start()
+        thread.join(timeout=10)
+        seen["main_in_no_grad"] = T.mul(x, 2.0).requires_grad
+    assert not thread.is_alive()
+    assert seen == {"worker": False, "main": True, "fresh": True,
+                    "main_in_no_grad": False}
+
+
+def test_multiply_counter_loses_no_update_across_threads():
+    threads, products = 2 * (os.cpu_count() or 1) + 2, 400
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    start = threading.Barrier(threads, timeout=10)
+
+    def work():
+        start.wait()
+        for _ in range(products):
+            T.matmul(a, b)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with T.count_matmul_multiplies() as c:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert c.count == threads * products * 2 * 3 * 4

@@ -1,27 +1,33 @@
 import builtins
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from setdet.data import SyntheticConfig
+from setdet import tensor as T
+from setdet.data import VAL_NAMESPACE, Sample, SyntheticConfig, build_dataset
 from setdet import training
 from setdet.detector import (
     CheckpointError,
     Detector,
     ModelConfig,
     load_checkpoint,
+    postprocess,
     save_checkpoint,
 )
-from setdet.matching import LossWeights
-from setdet.tensor import Parameter, Tensor
+from setdet.evaluation import nms
+from setdet.matching import LossWeights, total_loss
+from setdet.tensor import DimensionError, Parameter, Tensor
 from setdet.training import (
+    PREDICT_CHUNK,
     AdamW,
     TrainConfig,
     TrainingDivergedError,
     clip_grad_norm,
     evaluate_model,
+    predict_batch,
     train,
 )
 
@@ -139,6 +145,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed"):
             TrainConfig.from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("name, value", [
+        ("train_size", 0), ("train_size", -1), ("train_size", True),
+        ("val_size", 0), ("val_size", -3), ("val_size", 4.0),
+        ("batch_size", "4"), ("batch_size", 2.5), ("batch_size", 0),
+        ("epochs", "3"), ("epochs", 3.0), ("epochs", True),
+        ("lr_drop_epoch", "1"), ("lr_drop_epoch", True)])
+    def test_integer_fields_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            tiny_train_config(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} "):
+            TrainConfig.from_dict({name: value})
+
     def test_json_roundtrip(self, tmp_path):
         cfg = tiny_train_config()
         path = str(tmp_path / "cfg.json")
@@ -214,7 +232,6 @@ class TestTrainLoop:
     def test_checkpoint_roundtrip_reproduces_eval(self, tmp_path):
         cfg = tiny_train_config()
         result = train(cfg, str(tmp_path / "run"))
-        from setdet.data import build_dataset, VAL_NAMESPACE
         val = build_dataset(cfg.data, cfg.val_size, VAL_NAMESPACE, cfg.seed)
         before = evaluate_model(result.model, val)
         clone = Detector(cfg.model, np.random.default_rng(999))
@@ -267,6 +284,152 @@ class TestTrainLoop:
             json.dump({"completed_epochs": 1}, fh)
         with pytest.raises(CheckpointError, match="missing"):
             train(cfg, str(tmp_path / "resumed"), resume=ckpt)
+
+
+def serial_predict(model, samples, nms_thresh=None):
+    """The reference: predict_batch's chunks, forwarded one after another."""
+    detections = []
+    for lo in range(0, len(samples), PREDICT_CHUNK):
+        images = np.stack([s.image for s in samples[lo:lo + PREDICT_CHUNK]])
+        with T.no_grad():
+            out = model.forward(images)
+        dets = postprocess(out)
+        if nms_thresh is not None:
+            dets = [nms(d, nms_thresh) for d in dets]
+        detections.extend(dets)
+    return detections
+
+
+def assert_same_detections(got, want, atol=0.0):
+    assert len(got) == len(want)
+    for g_image, w_image in zip(got, want):
+        assert len(g_image) == len(w_image)
+        for g, w in zip(g_image, w_image):
+            assert g.class_id == w.class_id
+            if atol == 0.0:
+                assert g.confidence == w.confidence
+                np.testing.assert_array_equal(g.box, w.box)
+            else:
+                assert abs(g.confidence - w.confidence) <= atol
+                np.testing.assert_allclose(g.box, w.box, rtol=0, atol=atol)
+
+
+class TestPredictBatch:
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        # how many CPUs predict_batch sees, whatever this host has
+        monkeypatch.setattr(training, "_usable_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Detector(ModelConfig(**TINY_MODEL), np.random.default_rng(5))
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        # 45 images: chunks of 20, 20 and 5
+        return build_dataset(SyntheticConfig(**TINY_DATA), 45, VAL_NAMESPACE, 3)
+
+    def test_equals_serial_chunks_bitwise(self, model, samples, cpus):
+        assert_same_detections(predict_batch(model, samples),
+                               serial_predict(model, samples))
+
+    def test_equals_one_forward(self, model, samples, cpus):
+        with T.no_grad():
+            whole = postprocess(model.forward(np.stack([s.image for s in samples])))
+        assert_same_detections(predict_batch(model, samples), whole, atol=1e-12)
+
+    def test_order_and_pool_shutdown(self, model, samples, cpus):
+        alive = threading.active_count()
+        got = predict_batch(model, samples)
+        assert threading.active_count() == alive
+        assert len(got) == 45
+        for image, sample in zip(got, samples):
+            assert_same_detections([image], [model.predict(sample.image)], atol=1e-12)
+
+    def test_empty(self, model, cpus):
+        assert predict_batch(model, []) == []
+
+    def test_nms_matches_serial(self, model, samples, cpus):
+        assert_same_detections(predict_batch(model, samples, nms_thresh=0.3),
+                               serial_predict(model, samples, nms_thresh=0.3))
+
+    def test_reruns_bitwise_equal(self, model, samples, cpus):
+        assert_same_detections(predict_batch(model, samples),
+                               predict_batch(model, samples))
+
+    def test_one_chunk_runs_inline(self, model, samples, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        threads = []
+        forward = model.forward
+
+        def recording(images, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return forward(images, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        predict_batch(model, samples[:PREDICT_CHUNK])
+        assert threads == [threading.main_thread()]
+        threads.clear()
+        predict_batch(model, samples)
+        assert len(threads) == 3 and threading.main_thread() not in threads
+
+    def test_worker_error_reaches_caller(self, model, samples, cpus, monkeypatch):
+        forward = model.forward
+
+        def failing(images, *args, **kwargs):
+            if len(images) == 5:
+                raise RuntimeError("forward failed on the last chunk")
+            return forward(images, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", failing)
+        with pytest.raises(RuntimeError, match="last chunk"):
+            predict_batch(model, samples)
+
+    @pytest.mark.parametrize("odd", [1, 20, 44])
+    def test_mixed_image_sizes_rejected_before_any_forward(
+            self, model, samples, monkeypatch, odd):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 3)
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
+        mixed = list(samples)
+        for i in (odd, 44):
+            mixed[i] = Sample(image=np.zeros((3, 32, 32)), targets=mixed[i].targets)
+        with pytest.raises(DimensionError,
+                           match=rf"sample {odd} has image shape \(3, 32, 32\)"):
+            predict_batch(model, mixed)
+        assert calls == []
+
+    def test_multiply_count_equals_its_chunks(self, model, samples, cpus):
+        with T.count_matmul_multiplies() as counter:
+            predict_batch(model, samples)
+        total = counter.count
+        parts = 0
+        for lo in range(0, len(samples), PREDICT_CHUNK):
+            images = np.stack([s.image for s in samples[lo:lo + PREDICT_CHUNK]])
+            with T.count_matmul_multiplies() as counter, T.no_grad():
+                model.forward(images)
+            parts += counter.count
+        assert total == parts > 0
+
+    def test_caller_still_records_gradients_after_evaluation(self, samples, cpus):
+        def step_gradients(evaluate_first):
+            model = Detector(ModelConfig(**TINY_MODEL), np.random.default_rng(6))
+            if evaluate_first:
+                evaluate_model(model, samples)
+            batch = samples[:4]
+            out = model.forward(np.stack([s.image for s in batch]), train=True,
+                                rng=np.random.default_rng(0))
+            loss, _ = total_loss(out.layers, [s.targets for s in batch],
+                                 LossWeights())
+            loss.backward()
+            return [p.tensor.grad for p in model.parameters()]
+
+        after, fresh = step_gradients(True), step_gradients(False)
+        assert all(g is not None for g in after)
+        for got, want in zip(after, fresh):
+            np.testing.assert_array_equal(got, want)
+        assert sum(np.any(g != 0) for g in after) > len(after) // 2
 
 
 def _reports_identical(a, b) -> bool:
