@@ -55,7 +55,6 @@ class SyntheticConfig:
     stuff_classes: int = 1            # background bands (1 or 2)
     min_visible: float = 0.30         # occlusion cap
     include_stuff_boxes: bool = False  # emit stuff bands as boxed targets
-    seed: int = 0
 
     def __post_init__(self):
         self.size_range = tuple(self.size_range)
@@ -75,7 +74,7 @@ class SyntheticConfig:
             "min_objects": self.min_objects, "max_objects": self.max_objects,
             "size_range": list(self.size_range), "color_jitter": self.color_jitter,
             "stuff_classes": self.stuff_classes, "min_visible": self.min_visible,
-            "include_stuff_boxes": self.include_stuff_boxes, "seed": self.seed,
+            "include_stuff_boxes": self.include_stuff_boxes,
         }
 
     @staticmethod
@@ -274,9 +273,8 @@ VAL_NAMESPACE = 1
 
 
 def build_dataset(cfg: SyntheticConfig, count: int, namespace: int,
-                  seed: int | None = None) -> list[Sample]:
+                  seed: int) -> list[Sample]:
     """Fixed dataset of ``count`` scenes: scene i is pure in (seed, ns, i)."""
-    seed = cfg.seed if seed is None else seed
     samples = []
     for i in range(count):
         sample = generate_scene(cfg, scene_rng(seed, namespace, i))
@@ -394,11 +392,16 @@ def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRe
             if seed is not None and (type(seed) is not int or seed < 0):
                 raise AnnotationError(
                     f"record {index}: synthetic_seed {seed!r} is not an integer >= 0")
+            if type(record["id"]) is not int:
+                raise AnnotationError(
+                    f"record {index}: id {record['id']!r} is not an integer")
+            for field in ("width", "height"):
+                if type(record[field]) is not int or record[field] < 1:
+                    raise AnnotationError(
+                        f"record {index}: {field} {record[field]!r} is not an integer >= 1")
             refs.append(SampleRef(
-                id=int(record["id"]), width=int(record["width"]),
-                height=int(record["height"]), targets=targets,
-                synthetic_seed=seed,
-                file=record.get("file")))
+                id=record["id"], width=record["width"], height=record["height"],
+                targets=targets, synthetic_seed=seed, file=record.get("file")))
         except AnnotationError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -208,10 +208,11 @@ class Detector:
     def backbone_forward(self, image) -> Tensor:
         """Feature map [C, H/s, W/s] (or batched) from an image in [0,1]."""
         x = image if isinstance(image, Tensor) else Tensor(image)
-        side = x.shape[-1]
-        if side % self.config.stride != 0:
-            raise ConfigError(
-                f"image side {side} not divisible by stride {self.config.stride}")
+        stride = self.config.stride
+        for name, side in (("height", x.shape[-2]), ("width", x.shape[-1])):
+            if side % stride != 0:
+                raise ConfigError(
+                    f"image {name} {side} not divisible by stride {stride}")
         return self.backbone(x)
 
     def forward(self, images, train: bool = False, rng=None) -> DetectionOutput:
@@ -219,15 +220,11 @@ class Detector:
 
         In train mode dropout is active and ``rng`` must be supplied.
         """
-        output, _, _ = self._forward_core(images, train, rng)
-        return output
+        return self.forward_with_internals(images, train, rng)[0]
 
     def forward_with_internals(self, images, train: bool = False, rng=None):
         """Forward pass that also exposes (encoder memory, final decoder
         embeddings) for the mask head."""
-        return self._forward_core(images, train, rng)
-
-    def _forward_core(self, images, train: bool, rng):
         cfg = self.config
         x = images if isinstance(images, Tensor) else Tensor(images)
         squeeze = x.ndim == 3

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import ConfigError, xavier_uniform
+from .layers import ConfigError, kaiming_uniform, xavier_uniform
 from .tensor import Parameter, Tensor
 
 PANOPTIC_MAGIC = b"SPAN"
@@ -74,10 +74,11 @@ class MaskHead:
         self.k_bias = Parameter(f"{name}.k_proj.bias",
                                 Tensor(np.zeros((num_heads, self.d_head, 1))))
         self.conv1_w = Parameter(f"{name}.conv1.weight",
-                                 Tensor(kaiming(rng, (hidden, num_heads, 3, 3))))
+                                 Tensor(kaiming_uniform(rng, (hidden, num_heads, 3, 3),
+                                                        num_heads * 9)))
         self.conv1_b = Parameter(f"{name}.conv1.bias", Tensor(np.zeros(hidden)))
         self.conv2_w = Parameter(f"{name}.conv2.weight",
-                                 Tensor(kaiming(rng, (1, hidden, 3, 3))))
+                                 Tensor(kaiming_uniform(rng, (1, hidden, 3, 3), hidden * 9)))
         self.conv2_b = Parameter(f"{name}.conv2.bias", Tensor(np.zeros(1)))
 
     def parameters(self):
@@ -111,12 +112,6 @@ class MaskHead:
         x = T.conv2d(x, self.conv2_w.tensor, self.conv2_b.tensor, padding=1)
         logits = T.reshape(x, (n, 2 * height, 2 * width))
         return MaskOutput(logits=logits, heatmaps=heat)
-
-
-def kaiming(rng, shape):
-    fan_in = int(np.prod(shape[1:]))
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, shape)
 
 
 def panoptic_merge(mask_logits: np.ndarray, confidences: np.ndarray,

@@ -52,35 +52,6 @@ def no_grad():
         _GRAD.enabled = prev
 
 
-class _MultiplyCounter:
-    __slots__ = ("active", "count", "lock")
-
-    def __init__(self):
-        self.active = False
-        self.count = 0
-        self.lock = threading.Lock()
-
-
-_COUNTER = _MultiplyCounter()
-
-
-@contextmanager
-def count_matmul_multiplies():
-    """Count scalar multiplies performed by matmul inside the block.
-
-    Only matrix-product multiplies are counted (m*k*n per 2-d product,
-    times the broadcast batch size); elementwise work is excluded.  The
-    counter object exposes the running total as ``.count``.  Products run
-    by every thread are counted while the block is open.
-    """
-    _COUNTER.active = True
-    _COUNTER.count = 0
-    try:
-        yield _COUNTER
-    finally:
-        _COUNTER.active = False
-
-
 class Tensor:
     """N-dimensional float64 array with an optional gradient record."""
 
@@ -402,17 +373,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner dims differ between shapes {a.shape} and {b.shape}")
     try:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise DimensionError(
             f"matmul: batch dims of {a.shape} and {b.shape} do not align") from None
-    out = a.data @ b.data
-    if _COUNTER.active:
-        m, k = a.shape[-2], a.shape[-1]
-        n = b.shape[-1]
-        multiplies = int(np.prod(batch, dtype=np.int64)) * m * k * n
-        with _COUNTER.lock:
-            _COUNTER.count += multiplies
 
     def backward(g):
         if a.requires_grad:
@@ -420,7 +384,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate_reduced(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
-    return _result(out, (a, b), backward)
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -446,21 +410,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         _accumulate(a, g.reshape(a.shape), owned=True)
 
     return _result(a.data.reshape(shape), (a,), backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [t if isinstance(t, Tensor) else _const(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)], owned=True)
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, backward)
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:

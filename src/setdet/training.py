@@ -88,10 +88,6 @@ class TrainConfig:
             raise ValueError(
                 f"{self.data.max_objects} objects exceed {self.model.num_queries} slots")
 
-    @property
-    def dropout(self) -> float:
-        return self.model.dropout
-
     def lr_scale(self, epoch: int) -> float:
         """Multiplier on both base lrs for a 1-based epoch index."""
         return 1.0 / self.lr_drop_factor if epoch >= self.lr_drop_epoch else 1.0

@@ -1,0 +1,42 @@
+"""Matmul multiply count for tests, worked out from operand shapes.
+
+The paper's complexity claims (encoder cost 4d²HW + 2d(HW)², Table 1
+GFLOPs) are checked by counting the scalar multiplies of matrix products.
+The tape itself does not count: inside the block this module swaps
+``setdet.tensor.matmul``, which every caller reaches through ``T.matmul``
+or ``Tensor.__matmul__``, for a wrapper that records
+``prod(broadcast batch) * m * k * n`` per product.  Elementwise work is not
+counted.  Each product is recorded with ``list.append``, which is atomic,
+so products run by worker threads inside the block are all counted.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import numpy as np
+
+from setdet import tensor as T
+
+
+@contextmanager
+def count_matmul_multiplies():
+    """Count the multiplies of every matmul run inside the block; the
+    yielded object's ``.count`` holds the total after the block."""
+    counter, products, matmul = SimpleNamespace(count=0), [], T.matmul
+
+    def counted(a, b):
+        out = matmul(a, b)
+        sa, sb = np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b))
+        batch = np.broadcast_shapes(sa[:-2], sb[:-2])
+        products.append(math.prod(batch) * sa[-2] * sa[-1] * sb[-1])
+        return out
+
+    T.matmul = counted
+    try:
+        yield counter
+    finally:
+        T.matmul = matmul
+        counter.count = sum(products)

@@ -161,6 +161,16 @@ class TestAnnotations:
             with pytest.raises(AnnotationError, match="record 1"):
                 load_annotations(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 64.7), ("height", "64"), ("width", True), ("height", 0),
+        ("id", 1.0), ("id", "1"), ("id", True)])
+    def test_non_integer_size_or_id_rejected(self, tmp_path, field, value):
+        good = {"id": 0, "width": 64, "height": 64, "synthetic_seed": 0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [good, {**good, "id": 1, field: value}]}))
+        with pytest.raises(AnnotationError, match=f"record 1: {field} "):
+            load_annotations(str(path))
+
     def test_unknown_class_rejected(self, tmp_path):
         record = {"images": [{"id": 0, "width": 64, "height": 64,
                               "objects": [{"class": 7, "box": [0.5, 0.5, 0.2, 0.2]}]}]}

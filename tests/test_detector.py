@@ -66,6 +66,14 @@ class TestBackbone:
         with pytest.raises(ConfigError):
             model.backbone_forward(np.zeros((3, 15, 15)))
 
+    @pytest.mark.parametrize("shape, side", [((3, 17, 16), "height 17"),
+                                             ((3, 16, 17), "width 17"),
+                                             ((2, 3, 17, 16), "height 17")])
+    def test_each_side_checked_against_stride(self, shape, side):
+        model = tiny_model()
+        with pytest.raises(ConfigError, match=f"image {side} not divisible by stride 8"):
+            model.forward(np.zeros(shape))
+
 
 class TestForward:
     def test_boxes_sigmoid_bounded(self):

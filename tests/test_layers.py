@@ -167,7 +167,7 @@ class TestMultiHeadAttention:
             wq, bq, wk, bk, wv, bv = head_weights(mha.weights, m)
             heads.append(attention_head(xq, xkv, wq, bq, wk, bk, wv, bv,
                                         pos_q, pos_kv))
-        merged = T.concat(heads, axis=0)
+        merged = Tensor(np.concatenate([h.data for h in heads], axis=0))
         proj = T.matmul(mha.weights.out_proj.tensor, merged) \
             + mha.weights.out_bias.tensor
         want = T.layer_norm(xq + proj, mha.norm.gain.tensor, mha.norm.bias.tensor)

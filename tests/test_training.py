@@ -31,6 +31,8 @@ from setdet.training import (
     train,
 )
 
+from multiplies import count_matmul_multiplies
+
 TINY_MODEL = dict(d=8, num_heads=2, enc_layers=1, dec_layers=2, num_queries=4,
                   num_classes=2, ffn_width=16, backbone_channels=(4, 6, 8),
                   image_side=16, dropout=0.0)
@@ -144,6 +146,11 @@ class TestTrainConfig:
     def test_seed_must_be_natural_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig.from_dict({"seed": seed})
+
+    def test_data_seed_rejected(self):
+        # the scenes follow the top-level seed; a data seed would be ignored
+        with pytest.raises(TypeError, match="'seed'"):
+            TrainConfig.from_dict({"data": {"seed": 5}})
 
     @pytest.mark.parametrize("name, value", [
         ("train_size", 0), ("train_size", -1), ("train_size", True),
@@ -401,13 +408,13 @@ class TestPredictBatch:
         assert calls == []
 
     def test_multiply_count_equals_its_chunks(self, model, samples, cpus):
-        with T.count_matmul_multiplies() as counter:
+        with count_matmul_multiplies() as counter:
             predict_batch(model, samples)
         total = counter.count
         parts = 0
         for lo in range(0, len(samples), PREDICT_CHUNK):
             images = np.stack([s.image for s in samples[lo:lo + PREDICT_CHUNK]])
-            with T.count_matmul_multiplies() as counter, T.no_grad():
+            with count_matmul_multiplies() as counter, T.no_grad():
                 model.forward(images)
             parts += counter.count
         assert total == parts > 0
