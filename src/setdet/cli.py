@@ -204,9 +204,9 @@ def cmd_eval_panoptic(args) -> int:
     totals = []
     for sample in samples:
         with T.no_grad():
-            out, memory, embs = model.forward_with_internals(sample.image)
-            mask_out = head(embs, memory, side, side)
-        probs_all = T.softmax(out.layers[-1].class_logits.data)[:, :-1]  # no no-object
+            out, memory, embs = model.forward_with_internals(sample.image[None])
+            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
+        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]  # no no-object
         confidences = probs_all.max(axis=-1)
         classes = probs_all.argmax(axis=-1)
         pred = panoptic_merge(mask_out.logits.data, confidences, classes,

@@ -360,9 +360,10 @@ def _objects_json(targets: TargetSet):
 def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRef]:
     """Parse and validate the annotation schema.
 
-    Boxes must be componentwise in [0, 1]; class ids must be < K when
-    ``num_classes`` is given.  Violations raise AnnotationError naming
-    the offending record index.
+    Boxes must be componentwise in [0, 1]; class ids must be integers,
+    and < K when ``num_classes`` is given; ``file``, if set, is a path
+    string.  Violations raise AnnotationError naming the offending
+    record index.
     """
     with open(path) as fh:
         try:
@@ -377,7 +378,10 @@ def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRe
             classes = []
             boxes = []
             for obj in record.get("objects", []):
-                cls = int(obj["class"])
+                cls = obj["class"]
+                if type(cls) is not int:
+                    raise AnnotationError(
+                        f"record {index}: class {cls!r} is not an integer")
                 box = [float(v) for v in obj["box"]]
                 if len(box) != 4 or any(v < 0.0 or v > 1.0 for v in box):
                     raise AnnotationError(
@@ -399,9 +403,12 @@ def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRe
                 if type(record[field]) is not int or record[field] < 1:
                     raise AnnotationError(
                         f"record {index}: {field} {record[field]!r} is not an integer >= 1")
+            file = record.get("file")
+            if file is not None and type(file) is not str:
+                raise AnnotationError(f"record {index}: file {file!r} is not a string")
             refs.append(SampleRef(
                 id=record["id"], width=record["width"], height=record["height"],
-                targets=targets, synthetic_seed=seed, file=record.get("file")))
+                targets=targets, synthetic_seed=seed, file=file))
         except AnnotationError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

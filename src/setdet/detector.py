@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .layers import ConfigError, Linear, kaiming_uniform, xavier_uniform
 from .posenc import QUERY_MODES, SPATIAL_MODES, SpatialEncoding, init_object_queries
-from .tensor import Parameter, Tensor
+from .tensor import DimensionError, Parameter, Tensor
 from .transformer import Decoder, Encoder, zero_queries
 
 CHECKPOINT_MAGIC = b"SDTR"
@@ -90,8 +90,8 @@ class ModelConfig:
 class LayerPrediction:
     """One decoder layer's slot predictions.
 
-    ``class_logits`` is [N, K+1] (or [B, N, K+1]); ``boxes`` is [N, 4]
-    (or [B, N, 4]) in normalized (cx, cy, w, h), sigmoid-bounded.
+    ``class_logits`` is [B, N, K+1]; ``boxes`` is [B, N, 4] in normalized
+    (cx, cy, w, h), sigmoid-bounded.
     """
 
     class_logits: Tensor
@@ -148,7 +148,8 @@ class Backbone:
 
 
 class Detector:
-    """The full model.  Forward accepts [3,H,W] or [B,3,H,W] arrays."""
+    """The full model.  Forward takes a [B,3,H,W] batch; ``predict`` takes
+    one [3,H,W] image."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         cfg = config
@@ -206,8 +207,11 @@ class Detector:
     # -- forward ---------------------------------------------------------
 
     def backbone_forward(self, image) -> Tensor:
-        """Feature map [C, H/s, W/s] (or batched) from an image in [0,1]."""
+        """Feature maps [B, C, H/s, W/s] from a [B,3,H,W] batch in [0,1]."""
         x = image if isinstance(image, Tensor) else Tensor(image)
+        if x.ndim != 4:
+            raise DimensionError(f"model input must be a [B,3,H,W] batch, got shape "
+                                 f"{x.shape}; Detector.predict takes one [3,H,W] image")
         stride = self.config.stride
         for name, side in (("height", x.shape[-2]), ("width", x.shape[-1])):
             if side % stride != 0:
@@ -216,28 +220,20 @@ class Detector:
         return self.backbone(x)
 
     def forward(self, images, train: bool = False, rng=None) -> DetectionOutput:
-        """Full pipeline to per-layer slot predictions.
+        """Full pipeline from a [B,3,H,W] batch to per-layer slot predictions.
 
         In train mode dropout is active and ``rng`` must be supplied.
         """
         return self.forward_with_internals(images, train, rng)[0]
 
     def forward_with_internals(self, images, train: bool = False, rng=None):
-        """Forward pass that also exposes (encoder memory, final decoder
-        embeddings) for the mask head."""
+        """Forward pass that also exposes the encoder memory [B,d,HW] and the
+        final decoder embeddings [B,d,N] for the mask head."""
         cfg = self.config
-        x = images if isinstance(images, Tensor) else Tensor(images)
-        squeeze = x.ndim == 3
-        feats = self.backbone_forward(x)
+        feats = self.backbone_forward(images)
         feats = T.conv2d(feats, self.input_proj_w.tensor, self.input_proj_b.tensor)
-        if squeeze:
-            d, fh, fw = feats.shape
-            src = T.reshape(feats, (d, fh * fw))
-            batch = None
-        else:
-            b, d, fh, fw = feats.shape
-            src = T.reshape(feats, (b, d, fh * fw))
-            batch = b
+        batch, d, fh, fw = feats.shape
+        src = T.reshape(feats, (batch, d, fh * fw))
 
         enc = self.spatial_enc
         if enc.shape[1] != fh or enc.shape[2] != fw:
@@ -259,29 +255,28 @@ class Detector:
             query_pos = self.object_queries.tensor
         else:
             # queries enter once as the decoder input instead of at each layer
-            qp = self.object_queries.tensor
-            queries_init = qp if batch is None \
-                else zero_queries(batch, d, cfg.num_queries) + qp
+            queries_init = zero_queries(batch, d, cfg.num_queries) + self.object_queries.tensor
             query_pos = None
         layer_states = self.decoder(queries_init, memory, pos_attn, query_pos,
                                     dropout=cfg.dropout, rng=rng, train=train)
 
         layers = []
         for state in layer_states:
-            logits = T.transpose(self.class_head(state))         # [.., N, K+1]
+            logits = T.transpose(self.class_head(state))         # [B, N, K+1]
             h = state
             h = T.relu(self.box_head[0](h))
             h = T.relu(self.box_head[1](h))
-            boxes = T.transpose(T.sigmoid(self.box_head[2](h)))  # [.., N, 4]
+            boxes = T.transpose(T.sigmoid(self.box_head[2](h)))  # [B, N, 4]
             layers.append(LayerPrediction(logits, boxes))
         return DetectionOutput(layers), memory, layer_states[-1]
 
     def predict(self, image, use_layer: int = -1,
                 override_empty: bool = True) -> list[Detection]:
-        """Inference on one image: forward in eval mode + postprocess."""
+        """Inference on one [3,H,W] image: forward of a batch of one in eval
+        mode + postprocess."""
         with T.no_grad():
-            out = self.forward(image)
-        return postprocess(out, use_layer=use_layer, override_empty=override_empty)
+            out = self.forward(image[None])
+        return postprocess(out, use_layer=use_layer, override_empty=override_empty)[0]
 
 
 def postprocess(output: DetectionOutput, use_layer: int = -1,
@@ -290,30 +285,24 @@ def postprocess(output: DetectionOutput, use_layer: int = -1,
 
     Slots whose argmax is the no-object class are dropped, unless
     ``override_empty`` is set, in which case they emit their best real
-    class at that class's (lower) probability.  Returns a list of
-    Detection for a single image, or a list of lists for a batch.
+    class at that class's (lower) probability.  Returns one list of
+    Detection per image of the batch.
     """
     layer = output.layers[use_layer]
-    logits = layer.class_logits.data
-    boxes = layer.boxes.data
-    if logits.ndim == 3:
-        return [_postprocess_single(logits[b], boxes[b], override_empty)
-                for b in range(logits.shape[0])]
-    return _postprocess_single(logits, boxes, override_empty)
-
-
-def _postprocess_single(logits, boxes, override_empty):
-    probs = T.softmax(logits)
+    probs = T.softmax(layer.class_logits.data)
     no_object = probs.shape[-1] - 1
-    detections = []
-    for slot in range(probs.shape[0]):
-        best = int(np.argmax(probs[slot]))
-        if best == no_object:
-            if not override_empty:
-                continue
-            best = int(np.argmax(probs[slot, :no_object]))
-        detections.append(Detection(best, float(probs[slot, best]), boxes[slot].copy()))
-    return detections
+    batch = []
+    for image_probs, image_boxes in zip(probs, layer.boxes.data):
+        detections = []
+        for p, box in zip(image_probs, image_boxes):
+            best = int(np.argmax(p))
+            if best == no_object:
+                if not override_empty:
+                    continue
+                best = int(np.argmax(p[:no_object]))
+            detections.append(Detection(best, float(p[best]), box.copy()))
+        batch.append(detections)
+    return batch
 
 
 # -- checkpoint io ------------------------------------------------------------

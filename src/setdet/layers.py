@@ -1,10 +1,10 @@
 """Attention and feed-forward building blocks.
 
-All sequence tensors are channels-first: [d, N] for a single sequence or
-[B, d, N] batched.  Attention projects queries and keys from the inputs
-*plus* their positional encodings, while values are projected from the
-raw key-value sequence only, so positional information can never leak
-into the aggregated content.
+All sequence tensors are channels-first batches [B, d, N]; positional
+tables are [d, N] and broadcast over the batch.  Attention projects
+queries and keys from the inputs *plus* their positional encodings,
+while values are projected from the raw key-value sequence only, so
+positional information can never leak into the aggregated content.
 """
 
 from __future__ import annotations
@@ -106,10 +106,9 @@ class MultiHeadAttention:
                  pos_q: Tensor | None = None, pos_kv: Tensor | None = None,
                  dropout: float = 0.0, rng=None, train: bool = False) -> Tensor:
         w = self.weights
-        squeeze = xq.ndim == 2
-        if squeeze:
-            xq = T.reshape(xq, (1,) + xq.shape)
-            xkv = T.reshape(xkv, (1,) + xkv.shape)
+        if xq.ndim != 3 or xkv.ndim != 3:
+            raise T.DimensionError(f"attention needs [B,d,N] sequences, got "
+                                   f"{xq.shape} and {xkv.shape}")
         batch, d, nq = xq.shape
         nkv = xkv.shape[-1]
         heads_shape_q = (batch, w.num_heads, w.d_head, nq)
@@ -135,10 +134,7 @@ class MultiHeadAttention:
         merged = T.reshape(heads, (batch, d, nq))               # channel concat
         proj = T.matmul(w.out_proj.tensor, merged) + w.out_bias.tensor
         proj = T.dropout(proj, dropout, rng, train)
-        out = self.norm(xq + proj)
-        if squeeze:
-            out = T.reshape(out, (d, nq))
-        return out
+        return self.norm(xq + proj)
 
     def parameters(self):
         return self.weights.parameters() + self.norm.parameters()

@@ -208,36 +208,19 @@ def match(class_logits, pred_boxes, targets: TargetSet,
     return hungarian_assign(cost)
 
 
-def hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, targets: TargetSet,
-                   assignment: Assignment, weights: LossWeights,
-                   num_objects: int | None = None) -> Tensor:
-    """Set loss of one decoder layer under a fixed assignment.
-
-    Every slot contributes a negative log-likelihood term: matched slots
-    for their target class, unmatched slots for no-object with weight
-    ``weights.eos``.  Matched slots additionally contribute the box
-    loss.  Class and box terms are each normalized by the number of real
-    objects (floored at 1), which callers may override with the
-    batch-wide count.
-    """
-    scalar, _ = batch_hungarian_loss(
-        _lift(class_logits), _lift(pred_boxes), [targets], [assignment],
-        weights, num_objects)
-    return scalar
-
-
-def _lift(t: Tensor) -> Tensor:
-    """Add a leading batch axis to an unbatched [N, ...] tensor."""
-    return T.reshape(t, (1,) + t.shape) if t.ndim == 2 else t
-
-
 def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
                          assignments, weights: LossWeights,
                          num_objects: int | None = None):
-    """Hungarian loss over a batch for one decoder layer.
+    """Set loss of one decoder layer over a batch under fixed assignments.
 
     ``class_logits`` is [B,N,K+1], ``pred_boxes`` [B,N,4]; one TargetSet
-    and Assignment per image.  Returns (scalar Tensor, component dict).
+    and Assignment per image.  Every slot contributes a negative
+    log-likelihood term: matched slots for their target class, unmatched
+    slots for no-object with weight ``weights.eos``.  Matched slots
+    additionally contribute the box loss.  Class and box terms are each
+    normalized by the number of real objects in the batch (floored at 1),
+    which callers may override with ``num_objects``.  Returns (scalar
+    Tensor, component dict).
     """
     batch, n_slots, k_plus_1 = class_logits.shape
     no_object = k_plus_1 - 1
@@ -284,13 +267,11 @@ def total_loss(output, target_sets, weights: LossWeights, aux: bool = True):
     """Full training loss: matching + Hungarian loss per decoder layer.
 
     ``output`` is a sequence of per-layer predictions, each exposing
-    ``class_logits`` and ``boxes`` Tensors shaped [N,K+1]/[N,4] or
-    batched [B,N,K+1]/[B,N,4].  Matching is recomputed independently on
-    every layer's own predictions; with ``aux`` off only the final layer
-    contributes.  Returns (scalar Tensor, component dict).
+    ``class_logits`` [B,N,K+1] and ``boxes`` [B,N,4] Tensors, and
+    ``target_sets`` holds one TargetSet per image.  Matching is recomputed
+    independently on every layer's own predictions; with ``aux`` off only
+    the final layer contributes.  Returns (scalar Tensor, component dict).
     """
-    if isinstance(target_sets, TargetSet):
-        target_sets = [target_sets]
     layers = list(output)
     if not aux:
         layers = layers[-1:]
@@ -298,8 +279,7 @@ def total_loss(output, target_sets, weights: LossWeights, aux: bool = True):
     total = None
     components = {"class": 0.0, "l1": 0.0, "giou": 0.0}
     for layer in layers:
-        logits = _lift(layer.class_logits)
-        boxes = _lift(layer.boxes)
+        logits, boxes = layer.class_logits, layer.boxes
         assignments = [
             match(logits.data[b], boxes.data[b], targets, weights)
             for b, targets in enumerate(target_sets)
@@ -314,20 +294,17 @@ def total_loss(output, target_sets, weights: LossWeights, aux: bool = True):
 
 def dice_loss(mask_logits: Tensor, target) -> Tensor:
     """Soft overlap loss per mask: 1 - (2*m*sig(l) + 1) / (sig(l) + m + 1),
-    sums taken over pixels.  ``target`` is binary, same shape as the
-    logits up to a leading mask axis; returns [k, 1] (or [1,1] for a
-    single mask).  Object-count normalization is the caller's job.
+    sums taken over pixels.  ``mask_logits`` is [k,h,w] and ``target`` a
+    binary array of the same shape; returns [k, 1].  Object-count
+    normalization is the caller's job.
     """
     target_np = np.asarray(target, dtype=np.float64)
-    if mask_logits.shape != target_np.shape:
-        raise T.DimensionError(
-            f"dice_loss: mask shape {mask_logits.shape} vs target {target_np.shape}")
-    if mask_logits.ndim == 3:
-        k, pixels = mask_logits.shape[0], mask_logits.shape[1] * mask_logits.shape[2]
-    else:
-        k, pixels = 1, mask_logits.size
-    probs = T.sigmoid(T.reshape(mask_logits, (k, pixels)))
-    tgt = target_np.reshape(k, pixels)
+    if mask_logits.ndim != 3 or mask_logits.shape != target_np.shape:
+        raise T.DimensionError(f"dice_loss: need [k,h,w] masks, got mask shape "
+                               f"{mask_logits.shape} vs target {target_np.shape}")
+    k, h, w = mask_logits.shape
+    probs = T.sigmoid(T.reshape(mask_logits, (k, h * w)))
+    tgt = target_np.reshape(k, h * w)
     numer = T.tsum(probs * Tensor(2.0 * tgt), axis=1, keepdims=True) + 1.0
     denom = T.tsum(probs, axis=1, keepdims=True) + (tgt.sum(axis=1, keepdims=True) + 1.0)
     return 1.0 - numer / denom

@@ -531,16 +531,14 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution: x [B,C,H,W] (or [C,H,W]), w [O,C,kh,kw], b [O].
+    """2-d convolution: x [B,C,H,W], w [O,C,kh,kw], b [O].
 
     The x-gradient (col2im) adds each kernel tap's column gradient into the
     padded input with one strided slice, kh*kw adds in all, with no scatter.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or w.ndim != 4:
+    if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input/weight, got {x.shape}, {w.shape}")
-    B, C, H, W = xd.shape
+    B, C, H, W = x.shape
     O, Cw, kh, kw = w.shape
     if C != Cw:
         raise DimensionError(f"conv2d: channel mismatch between {x.shape} and {w.shape}")
@@ -554,9 +552,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if Ho <= 0 or Wo <= 0:
         raise DimensionError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
-        xp = xd
+        xp = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]                      # [B,C,Ho,Wo,kh,kw]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
@@ -565,12 +563,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if b is not None:
         out += b.data
     out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
-    if squeeze:
-        out = out[0]
 
     def backward(g):
-        gd = g[None] if squeeze else g
-        gmat = gd.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
+        gmat = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
         if w.requires_grad:
             _accumulate(w, (gmat.T @ cols).reshape(w.shape), owned=True)
         if b is not None and b.requires_grad:
@@ -586,7 +581,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                     gp[:, uy:uy + stride * Ho:stride,
                        ux:ux + stride * Wo:stride] += gcols[..., uy, ux]
             gx = gp.transpose(0, 3, 1, 2)[:, :, padding:padding + H, padding:padding + W]
-            _accumulate(x, gx[0] if squeeze else gx, owned=True)
+            _accumulate(x, gx, owned=True)
 
     return _result(out, (x, w) if b is None else (x, w, b), backward)
 

@@ -468,11 +468,12 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
                     continue
                 with T.no_grad():
                     out, memory, final_embs = model.forward_with_internals(
-                        sample.image)
-                logits = out.layers[-1].class_logits.data
-                boxes = out.layers[-1].boxes.data
+                        sample.image[None])
+                logits = out.layers[-1].class_logits.data[0]
+                boxes = out.layers[-1].boxes.data[0]
                 assignment = match(logits, boxes, sample.targets, cfg.loss)
-                mask_out = head(final_embs, memory, side, side)
+                mask_out = head(T.Tensor(final_embs.data[0]), T.Tensor(memory.data[0]),
+                                side, side)
                 pred = T.take(mask_out.logits, assignment.slot_of_target, axis=0)
                 gt = np.stack([_downsample_mask(m, mask_stride)
                                for m in sample.masks])

@@ -1,7 +1,7 @@
 """Encoder-decoder over flattened image features with parallel decoding
 of the N output slots.
 
-The encoder self-attends over the [d, HW] feature sequence.  The decoder
+The encoder self-attends over the [B, d, HW] feature sequences.  The decoder
 alternates self-attention over the N slots, cross-attention into the
 encoder memory, and a feed-forward block; all N slots are produced in
 parallel at every layer.  Each decoder layer's output is passed through
@@ -100,7 +100,6 @@ class Decoder:
         return params + self.shared_norm.parameters()
 
 
-def zero_queries(batch: int | None, d: int, n: int) -> Tensor:
-    """Decoder input slots, initially all zero."""
-    shape = (d, n) if batch is None else (batch, d, n)
-    return Tensor(np.zeros(shape))
+def zero_queries(batch: int, d: int, n: int) -> Tensor:
+    """Decoder input slots [B, d, N], initially all zero."""
+    return Tensor(np.zeros((batch, d, n)))

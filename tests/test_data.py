@@ -171,6 +171,23 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match=f"record 1: {field} "):
             load_annotations(str(path))
 
+    @pytest.mark.parametrize("value", [1.7, True, "1"])
+    def test_non_integer_class_rejected(self, tmp_path, value):
+        good = {"id": 0, "width": 64, "height": 64, "synthetic_seed": 0}
+        bad = {**good, "id": 1, "objects": [{"class": value, "box": [0.5, 0.5, 0.2, 0.2]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [good, bad]}))
+        with pytest.raises(AnnotationError, match="record 1: class .* is not an integer"):
+            load_annotations(str(path))
+
+    @pytest.mark.parametrize("value", [0, 12345, ["a.simg"]])
+    def test_non_string_file_rejected(self, tmp_path, value):
+        good = {"id": 0, "width": 64, "height": 64, "synthetic_seed": 0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"images": [good, {**good, "id": 1, "file": value}]}))
+        with pytest.raises(AnnotationError, match="record 1: file .* is not a string"):
+            load_annotations(str(path))
+
     def test_unknown_class_rejected(self, tmp_path):
         record = {"images": [{"id": 0, "width": 64, "height": 64,
                               "objects": [{"class": 7, "box": [0.5, 0.5, 0.2, 0.2]}]}]}

@@ -136,9 +136,9 @@ class TestMultiHeadAttention:
     def test_output_shape_matches_query(self):
         rng = np.random.default_rng(5)
         mha = MultiHeadAttention(8, 2, rng, "attn")
-        xq = Tensor(rng.normal(size=(8, 5)))
-        xkv = Tensor(rng.normal(size=(8, 9)))
-        assert mha(xq, xkv).shape == (8, 5)
+        xq = Tensor(rng.normal(size=(1, 8, 5)))
+        xkv = Tensor(rng.normal(size=(1, 8, 9)))
+        assert mha(xq, xkv).shape == (1, 8, 5)
         batched = Tensor(rng.normal(size=(3, 8, 5)))
         batched_kv = Tensor(rng.normal(size=(3, 8, 9)))
         assert mha(batched, batched_kv).shape == (3, 8, 5)
@@ -148,7 +148,7 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(8, 2, rng, "attn")
         mha.weights.out_proj.tensor.data[:] = 0.0
         mha.weights.out_bias.tensor.data[:] = 0.0
-        xq = Tensor(rng.normal(size=(8, 5)))
+        xq = Tensor(rng.normal(size=(1, 8, 5)))
         out = mha(xq, xq)
         want = T.layer_norm(xq, mha.norm.gain.tensor, mha.norm.bias.tensor)
         np.testing.assert_allclose(out.data, want.data, atol=1e-12)
@@ -156,10 +156,10 @@ class TestMultiHeadAttention:
     def test_composition_of_single_heads(self):
         rng = np.random.default_rng(7)
         mha = MultiHeadAttention(4, 2, rng, "attn")
-        xq = Tensor(rng.normal(size=(4, 3)))
-        xkv = Tensor(rng.normal(size=(4, 5)))
-        pos_q = Tensor(rng.normal(size=(4, 3)))
-        pos_kv = Tensor(rng.normal(size=(4, 5)))
+        xq = Tensor(rng.normal(size=(1, 4, 3)))
+        xkv = Tensor(rng.normal(size=(1, 4, 5)))
+        pos_q = Tensor(rng.normal(size=(1, 4, 3)))
+        pos_kv = Tensor(rng.normal(size=(1, 4, 5)))
         got = mha(xq, xkv, pos_q=pos_q, pos_kv=pos_kv)
 
         heads = []
@@ -167,7 +167,7 @@ class TestMultiHeadAttention:
             wq, bq, wk, bk, wv, bv = head_weights(mha.weights, m)
             heads.append(attention_head(xq, xkv, wq, bq, wk, bk, wv, bv,
                                         pos_q, pos_kv))
-        merged = Tensor(np.concatenate([h.data for h in heads], axis=0))
+        merged = Tensor(np.concatenate([h.data for h in heads], axis=-2))
         proj = T.matmul(mha.weights.out_proj.tensor, merged) \
             + mha.weights.out_bias.tensor
         want = T.layer_norm(xq + proj, mha.norm.gain.tensor, mha.norm.bias.tensor)
@@ -176,19 +176,19 @@ class TestMultiHeadAttention:
     def test_kv_permutation_invariance_without_positional(self):
         rng = np.random.default_rng(8)
         mha = MultiHeadAttention(8, 4, rng, "attn")
-        xq = Tensor(rng.normal(size=(8, 3)))
-        xkv = rng.normal(size=(8, 6))
+        xq = Tensor(rng.normal(size=(1, 8, 3)))
+        xkv = rng.normal(size=(1, 8, 6))
         perm = rng.permutation(6)
         out1 = mha(xq, Tensor(xkv))
-        out2 = mha(xq, Tensor(xkv[:, perm]))
+        out2 = mha(xq, Tensor(xkv[..., perm]))
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
         mha = MultiHeadAttention(4, 2, rng, "attn")
-        xq = Tensor(rng.uniform(-1, 1, (4, 3)))
-        xkv = Tensor(rng.uniform(-1, 1, (4, 4)))
-        r = Tensor(rng.uniform(0.5, 1.5, (4, 3)))
+        xq = Tensor(rng.uniform(-1, 1, (1, 4, 3)))
+        xkv = Tensor(rng.uniform(-1, 1, (1, 4, 4)))
+        r = Tensor(rng.uniform(0.5, 1.5, (1, 4, 3)))
 
         def f(t):
             return T.tsum(T.mul(mha(t, xkv), r))
@@ -202,7 +202,7 @@ class TestMultiHeadAttention:
     def test_dropout_active_only_in_train(self):
         rng = np.random.default_rng(10)
         mha = MultiHeadAttention(8, 2, rng, "attn")
-        x = Tensor(rng.normal(size=(8, 4)))
+        x = Tensor(rng.normal(size=(1, 8, 4)))
         eval_out = mha(x, x, dropout=0.5, rng=np.random.default_rng(0), train=False)
         eval_out2 = mha(x, x, dropout=0.5, rng=np.random.default_rng(1), train=False)
         np.testing.assert_array_equal(eval_out.data, eval_out2.data)

@@ -267,8 +267,9 @@ class TestHungarianLoss:
         logits = np.zeros((2, 3))
         logits[:, 2] = 60.0       # certain no-object
         boxes = np.tile([0.5, 0.5, 0.2, 0.2], (2, 1))
-        loss = M.hungarian_loss(Tensor(logits), Tensor(boxes), TargetSet.empty(),
-                                Assignment(np.zeros(0, dtype=np.int64), 2), W)
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+                                         [TargetSet.empty()],
+                                         [Assignment(np.zeros(0, dtype=np.int64), 2)], W)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_prediction(self):
@@ -278,8 +279,8 @@ class TestHungarianLoss:
         logits[1, 2] = 40.0       # slot 1 certain no-object
         boxes = np.stack([box, [0.5, 0.5, 0.1, 0.1]])
         targets = TargetSet.create([1], [box])
-        loss = M.hungarian_loss(Tensor(logits), Tensor(boxes), targets,
-                                Assignment(np.array([0]), 2), W)
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+                                         [targets], [Assignment(np.array([0]), 2)], W)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_toy_instance_vs_scalar_oracle(self):
@@ -288,8 +289,8 @@ class TestHungarianLoss:
         boxes = random_boxes(rng, 3)
         targets = TargetSet.create([1, 2], random_boxes(rng, 2))
         slots = np.array([2, 0])
-        loss = M.hungarian_loss(Tensor(logits), Tensor(boxes), targets,
-                                Assignment(slots, 3), W)
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+                                         [targets], [Assignment(slots, 3)], W)
         want = scalar_loss_oracle(logits, boxes, targets, slots, W)
         assert loss.item() == pytest.approx(want, abs=1e-12)
 
@@ -300,25 +301,27 @@ class TestHungarianLoss:
         targets = TargetSet.create([0, 2], random_boxes(rng, 2))
         assignment = Assignment(np.array([1, 0]), 3)
 
-        lx = Tensor(logits)
+        lx = Tensor(logits[None])
         err = grad_check(
-            lambda t: M.hungarian_loss(t, Tensor(boxes), targets, assignment, W),
+            lambda t: M.batch_hungarian_loss(t, Tensor(boxes[None]), [targets],
+                                             [assignment], W)[0],
             lx, eps=1e-5)
         assert err <= 1e-5
 
-        bx = Tensor(boxes)
+        bx = Tensor(boxes[None])
         err = grad_check(
-            lambda t: M.hungarian_loss(Tensor(logits), t, targets, assignment, W),
+            lambda t: M.batch_hungarian_loss(Tensor(logits[None]), t, [targets],
+                                             [assignment], W)[0],
             bx, eps=1e-5)
         assert err <= 1e-5
 
     def test_invalid_assignment_rejected(self):
-        logits = Tensor(np.zeros((2, 3)))
-        boxes = Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (2, 1)))
+        logits = Tensor(np.zeros((1, 2, 3)))
+        boxes = Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 2, 1)))
         targets = TargetSet.create([0], [[0.5, 0.5, 0.2, 0.2]])
         with pytest.raises(AssignmentError):
-            M.hungarian_loss(logits, boxes, targets,
-                             Assignment(np.array([0, 1]), 2), W)
+            M.batch_hungarian_loss(logits, boxes, [targets],
+                                   [Assignment(np.array([0, 1]), 2)], W)
 
 
 class _FakeLayer:
@@ -329,18 +332,19 @@ class _FakeLayer:
 
 class TestTotalLoss:
     def _instance(self, seed):
+        # one image: [1,N,K+1] logits, [1,N,4] boxes, a list of one TargetSet
         rng = np.random.default_rng(seed)
-        logits = Tensor(rng.normal(size=(4, 3)))
-        boxes = Tensor(random_boxes(rng, 4))
-        targets = TargetSet.create([0, 1], random_boxes(rng, 2))
+        logits = Tensor(rng.normal(size=(1, 4, 3)))
+        boxes = Tensor(random_boxes(rng, 4)[None])
+        targets = [TargetSet.create([0, 1], random_boxes(rng, 2))]
         return logits, boxes, targets
 
     def test_single_layer_equals_hungarian_loss(self):
         logits, boxes, targets = self._instance(12)
         out = [_FakeLayer(logits, boxes)]
         value, _ = M.total_loss(out, targets, W)
-        assignment = M.match(logits.data, boxes.data, targets, W)
-        direct = M.hungarian_loss(logits, boxes, targets, assignment, W)
+        assignment = M.match(logits.data[0], boxes.data[0], targets[0], W)
+        direct, _ = M.batch_hungarian_loss(logits, boxes, targets, [assignment], W)
         assert value.item() == pytest.approx(direct.item(), abs=1e-12)
 
     def test_duplicated_layer_doubles(self):
@@ -352,20 +356,21 @@ class TestTotalLoss:
     def test_two_layers_vs_per_layer_oracle(self):
         l0, b0, targets = self._instance(14)
         rng = np.random.default_rng(15)
-        l1 = Tensor(rng.normal(size=(4, 3)))
-        b1 = Tensor(random_boxes(rng, 4))
+        l1 = Tensor(rng.normal(size=(1, 4, 3)))
+        b1 = Tensor(random_boxes(rng, 4)[None])
         value, _ = M.total_loss([_FakeLayer(l0, b0), _FakeLayer(l1, b1)], targets, W)
         want = 0.0
         for lg, bx in [(l0, b0), (l1, b1)]:
-            a = M.match(lg.data, bx.data, targets, W)
-            want += scalar_loss_oracle(lg.data, bx.data, targets, a.slot_of_target, W)
+            a = M.match(lg.data[0], bx.data[0], targets[0], W)
+            want += scalar_loss_oracle(lg.data[0], bx.data[0], targets[0],
+                                       a.slot_of_target, W)
         assert value.item() == pytest.approx(want, abs=1e-12)
 
     def test_aux_off_uses_final_layer_only(self):
         l0, b0, targets = self._instance(16)
         rng = np.random.default_rng(17)
-        l1 = Tensor(rng.normal(size=(4, 3)))
-        b1 = Tensor(random_boxes(rng, 4))
+        l1 = Tensor(rng.normal(size=(1, 4, 3)))
+        b1 = Tensor(random_boxes(rng, 4)[None])
         value, _ = M.total_loss([_FakeLayer(l0, b0), _FakeLayer(l1, b1)], targets, W,
                                 aux=False)
         only_last, _ = M.total_loss([_FakeLayer(l1, b1)], targets, W)
@@ -398,13 +403,14 @@ def test_permutation_invariance_of_min_cost_and_loss():
 
         cost = M.matching_cost_matrix(logits, boxes, targets, W)
         a = M.hungarian_assign(cost)
-        loss = M.hungarian_loss(Tensor(logits), Tensor(boxes), targets, a, W)
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+                                         [targets], [a], W)
 
         perm = rng.permutation(n)
         cost_p = M.matching_cost_matrix(logits[perm], boxes[perm], targets, W)
         a_p = M.hungarian_assign(cost_p)
-        loss_p = M.hungarian_loss(Tensor(logits[perm]), Tensor(boxes[perm]),
-                                  targets, a_p, W)
+        loss_p, _ = M.batch_hungarian_loss(Tensor(logits[perm][None]),
+                                           Tensor(boxes[perm][None]), [targets], [a_p], W)
         assert abs(a.total_cost(cost) - a_p.total_cost(cost_p)) <= 1e-12
         assert abs(loss.item() - loss_p.item()) <= 1e-12
 
@@ -414,25 +420,25 @@ def test_permutation_invariance_of_min_cost_and_loss():
 
 class TestDiceLoss:
     def test_perfect_mask_limit(self):
-        target = np.zeros((4, 4))
-        target[1:3, 1:3] = 1.0
+        target = np.zeros((1, 4, 4))
+        target[0, 1:3, 1:3] = 1.0
         logits = Tensor(np.where(target > 0, 50.0, -50.0))
         assert M.dice_loss(logits, target).item() == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_empty(self):
-        target = np.zeros((3, 3))
-        logits = Tensor(np.full((3, 3), -60.0))
+        target = np.zeros((1, 3, 3))
+        logits = Tensor(np.full((1, 3, 3), -60.0))
         assert M.dice_loss(logits, target).item() == pytest.approx(0.0, abs=1e-6)
 
     def test_2x2_hand_value(self):
-        target = np.array([[1.0, 0.0], [0.0, 0.0]])
-        logits = Tensor(np.zeros((2, 2)))
+        target = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+        logits = Tensor(np.zeros((1, 2, 2)))
         # 1 - (2*0.5 + 1) / (4*0.5 + 1 + 1) = 0.5
         assert M.dice_loss(logits, target).item() == pytest.approx(0.5, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(T.DimensionError):
-            M.dice_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
+            M.dice_loss(Tensor(np.zeros((1, 2, 2))), np.zeros((1, 3, 3)))
 
     def test_stacked_masks(self):
         rng = np.random.default_rng(20)
@@ -441,13 +447,13 @@ class TestDiceLoss:
         vals = M.dice_loss(logits, target)
         assert vals.shape == (3, 1)
         for k in range(3):
-            single = M.dice_loss(Tensor(logits.data[k]), target[k])
+            single = M.dice_loss(Tensor(logits.data[k:k + 1]), target[k:k + 1])
             assert vals.data[k, 0] == pytest.approx(single.item(), abs=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(21)
-        target = (rng.random((3, 3)) > 0.5).astype(float)
-        x = Tensor(rng.normal(size=(3, 3)))
+        target = (rng.random((1, 3, 3)) > 0.5).astype(float)
+        x = Tensor(rng.normal(size=(1, 3, 3)))
         err = grad_check(lambda t: T.tsum(M.dice_loss(t, target)), x, eps=1e-5)
         assert err <= 1e-5
 

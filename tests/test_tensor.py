@@ -107,6 +107,7 @@ class TestGradCheck:
         err = grad_check(lambda t: T.tsum(T.softmax_lastdim(t)), x, eps=1e-5)
         assert err <= 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_raises(self):
         x = Tensor([1.0])
         with pytest.raises(T.EvaluationError):
@@ -258,16 +259,14 @@ class TestLayerNorm:
 def scatter_conv2d(x, w, b=None, stride=1, padding=0):
     """The earlier conv2d, whose col2im scatters through np.add.at: the
     reference the strided-add x-gradient must equal bitwise."""
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    B, C, H, W = xd.shape
+    B, C, H, W = x.shape
     O, Cw, kh, kw = w.shape
     Ho = (H + 2 * padding - kh) // stride + 1
     Wo = (W + 2 * padding - kw) // stride + 1
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
-        xp = xd
+        xp = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
@@ -276,12 +275,9 @@ def scatter_conv2d(x, w, b=None, stride=1, padding=0):
     if b is not None:
         out += b.data
     out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
-    if squeeze:
-        out = out[0]
 
     def backward(g):
-        gd = g[None] if squeeze else g
-        gmat = gd.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
+        gmat = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
         if w.requires_grad:
             T._accumulate(w, (gmat.T @ cols).reshape(w.shape), owned=True)
         if b is not None and b.requires_grad:
@@ -301,7 +297,7 @@ def scatter_conv2d(x, w, b=None, stride=1, padding=0):
             gx = gp.reshape(B, C, Hp, Wp)
             if padding:
                 gx = gx[:, :, padding:-padding, padding:-padding]
-            T._accumulate(x, gx[0] if squeeze else gx, owned=True)
+            T._accumulate(x, gx, owned=True)
 
     return T._result(out, (x, w) if b is None else (x, w, b), backward)
 
@@ -371,17 +367,6 @@ class TestConv2d:
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         if stride > k:     # some input pixels lie under no kernel tap
             assert (got == 0).any()
-
-    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 3, 1), (5, 1, 2)])
-    def test_unbatched_x_gradient_bitwise_matches_scatter(self, k, stride, padding):
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-1, 1, (3, 8, 6))
-        w = rng.uniform(-1, 1, (2, 3, k, k))
-        got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=2)
-        want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=2)
-        assert got.shape == x.shape
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_train_step_gradients_bitwise_match_scatter(self, monkeypatch):
         def step_grads():

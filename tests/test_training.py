@@ -259,12 +259,14 @@ class TestTrainLoop:
         header = open(result.metrics_csv).readline().strip()
         assert header == "epoch,loss,class_loss,l1_loss,giou_loss,val_ap50,val_ap"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, tmp_path):
         cfg = tiny_train_config(lr_transformer=1e30, lr_backbone=1e30,
                                 clip_norm=1e30, epochs=3, lr_drop_epoch=2)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(cfg, str(tmp_path / "diverge"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_closes_metrics_csv(self, tmp_path, monkeypatch):
         opened = []
 

@@ -17,7 +17,7 @@ class TestEncoder:
     def test_zero_layers_is_identity(self):
         rng = np.random.default_rng(0)
         enc = make_encoder(0, rng)
-        src = Tensor(rng.normal(size=(8, 6)))
+        src = Tensor(rng.normal(size=(1, 8, 6)))
         out = enc(src)
         assert out is src
 
@@ -25,35 +25,36 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         for layers in (1, 3):
             enc = make_encoder(layers, rng)
-            src = Tensor(rng.normal(size=(8, 5)))
-            assert enc(src).shape == (8, 5)
+            src = Tensor(rng.normal(size=(1, 8, 5)))
+            assert enc(src).shape == (1, 8, 5)
             batched = Tensor(rng.normal(size=(2, 8, 5)))
             assert enc(batched).shape == (2, 8, 5)
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(2)
         enc = make_encoder(2, rng)
-        src = rng.normal(size=(8, 4))
+        src = rng.normal(size=(1, 8, 4))
         perm = np.array([2, 0, 3, 1])
-        out = enc(Tensor(src)).data
-        out_perm = enc(Tensor(src[:, perm])).data
+        out = enc(Tensor(src)).data[0]
+        out_perm = enc(Tensor(src[..., perm])).data[0]
         np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-12)
 
     def test_positions_break_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         enc = make_encoder(1, rng)
-        src = rng.normal(size=(8, 4))
+        src = rng.normal(size=(1, 8, 4))
         pos = Tensor(sine_encoding_2d(2, 2, 8).reshape(8, 4))
         perm = np.array([2, 0, 3, 1])
-        out = enc(Tensor(src), pos).data
-        out_perm = enc(Tensor(src[:, perm]), pos).data
+        out = enc(Tensor(src), pos).data[0]
+        out_perm = enc(Tensor(src[..., perm]), pos).data[0]
         assert np.abs(out[:, perm] - out_perm).max() > 1e-6
 
 
 class TestDecoder:
     def make(self, rng, layers=2, d=8, n=3, hw=6):
+        # a batch of one image; position tables are [d, *] and broadcast
         dec = Decoder(layers, d, 2, 16, rng)
-        memory = Tensor(rng.normal(size=(d, hw)))
+        memory = Tensor(rng.normal(size=(1, d, hw)))
         spatial = Tensor(rng.normal(size=(d, hw)))
         qpos = Tensor(rng.normal(size=(d, n)))
         return dec, memory, spatial, qpos
@@ -61,12 +62,12 @@ class TestDecoder:
     def test_outputs_per_layer(self):
         rng = np.random.default_rng(4)
         dec, memory, spatial, qpos = self.make(rng, layers=3)
-        outs = dec(zero_queries(None, 8, 3), memory, spatial, qpos)
+        outs = dec(zero_queries(1, 8, 3), memory, spatial, qpos)
         assert len(outs) == 3
-        assert all(o.shape == (8, 3) for o in outs)
+        assert all(o.shape == (1, 8, 3) for o in outs)
 
     def test_queries_start_at_zero(self):
-        q = zero_queries(None, 8, 5)
+        q = zero_queries(1, 8, 5)
         assert (q.data == 0).all()
         q = zero_queries(4, 8, 5)
         assert q.shape == (4, 8, 5) and (q.data == 0).all()
@@ -75,16 +76,16 @@ class TestDecoder:
         rng = np.random.default_rng(5)
         dec, memory, spatial, qpos = self.make(rng, layers=2, n=4)
         perm = np.array([3, 1, 0, 2])
-        outs = dec(zero_queries(None, 8, 4), memory, spatial, qpos)
-        outs_perm = dec(zero_queries(None, 8, 4), memory, spatial,
+        outs = dec(zero_queries(1, 8, 4), memory, spatial, qpos)
+        outs_perm = dec(zero_queries(1, 8, 4), memory, spatial,
                         Tensor(qpos.data[:, perm]))
         for a, b in zip(outs, outs_perm):
-            np.testing.assert_allclose(a.data[:, perm], b.data, atol=1e-12)
+            np.testing.assert_allclose(a.data[..., perm], b.data, atol=1e-12)
 
     def test_distinct_queries_give_distinct_slots(self):
         rng = np.random.default_rng(6)
         dec, memory, spatial, qpos = self.make(rng, layers=2, n=4)
-        out = dec(zero_queries(None, 8, 4), memory, spatial, qpos)[-1].data
+        out = dec(zero_queries(1, 8, 4), memory, spatial, qpos)[-1].data[0]
         diffs = [np.abs(out[:, i] - out[:, j]).max()
                  for i in range(4) for j in range(i + 1, 4)]
         assert min(diffs) > 1e-6
@@ -93,13 +94,13 @@ class TestDecoder:
         rng = np.random.default_rng(7)
         d, n, hw = 4, 2, 3
         dec = Decoder(1, d, 2, 8, rng)
-        memory = Tensor(rng.normal(size=(d, hw)))
+        memory = Tensor(rng.normal(size=(1, d, hw)))
         spatial = Tensor(rng.normal(size=(d, hw)))
         qpos = Tensor(rng.normal(size=(d, n)))
-        got = dec(zero_queries(None, d, n), memory, spatial, qpos)[0]
+        got = dec(zero_queries(1, d, n), memory, spatial, qpos)[0]
 
         layer = dec.layers[0]
-        x = zero_queries(None, d, n)
+        x = zero_queries(1, d, n)
         x = layer.self_attn(x, x, pos_q=qpos, pos_kv=qpos)
         x = layer.cross_attn(x, memory, pos_q=qpos, pos_kv=spatial)
         x = layer.ffn(x)
@@ -110,12 +111,12 @@ class TestDecoder:
         rng = np.random.default_rng(8)
         d, n, hw = 4, 2, 3
         dec = Decoder(1, d, 2, 8, rng, skip_first_self_attention=True)
-        memory = Tensor(rng.normal(size=(d, hw)))
+        memory = Tensor(rng.normal(size=(1, d, hw)))
         spatial = Tensor(rng.normal(size=(d, hw)))
         qpos = Tensor(rng.normal(size=(d, n)))
-        got = dec(zero_queries(None, d, n), memory, spatial, qpos)[0]
+        got = dec(zero_queries(1, d, n), memory, spatial, qpos)[0]
         layer = dec.layers[0]
-        x = zero_queries(None, d, n)
+        x = zero_queries(1, d, n)
         x = layer.cross_attn(x, memory, pos_q=qpos, pos_kv=spatial)
         want = dec.shared_norm(layer.ffn(x))
         np.testing.assert_allclose(got.data, want.data, atol=1e-12)
@@ -123,17 +124,17 @@ class TestDecoder:
     def test_shared_norm_applied_to_every_layer(self):
         rng = np.random.default_rng(9)
         dec, memory, spatial, qpos = self.make(rng, layers=2)
-        outs = dec(zero_queries(None, 8, 3), memory, spatial, qpos)
+        outs = dec(zero_queries(1, 8, 3), memory, spatial, qpos)
         # post-norm outputs standardize over channels: near-zero column means
         for out in outs:
-            assert np.abs(out.data.mean(axis=0)).max() < 1e-9
+            assert np.abs(out.data.mean(axis=-2)).max() < 1e-9
 
 
 def encoder_multiply_count(d, hw, heads, seed=0):
     """Multiplies of one encoder self-attention sublayer (eval mode)."""
     rng = np.random.default_rng(seed)
     mha = MultiHeadAttention(d, heads, rng, "attn")
-    src = Tensor(rng.normal(size=(d, hw)))
+    src = Tensor(rng.normal(size=(1, d, hw)))
     pos = Tensor(rng.normal(size=(d, hw)))
     with count_matmul_multiplies() as counter:
         mha(src, src, pos_q=pos, pos_kv=pos)
