@@ -37,13 +37,6 @@ def giou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return iou - (hull - union) / np.maximum(hull, _AREA_EPS)
 
 
-def giou(box_a, box_b) -> float:
-    """Generalized IoU of a single box pair."""
-    a = np.asarray(box_a, dtype=np.float64).reshape(1, 4)
-    b = np.asarray(box_b, dtype=np.float64).reshape(1, 4)
-    return float(giou_matrix(a, b)[0, 0])
-
-
 def _pairwise_areas(boxes_a, boxes_b):
     ca = box_corners(boxes_a)[:, None, :]       # [m,1,4]
     cb = box_corners(boxes_b)[None, :, :]       # [1,n,4]

@@ -64,15 +64,16 @@ def _val_samples(cfg: TrainConfig, data_path: str | None):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    if args.spatial_enc:
-        cfg.model.spatial_encoding = args.spatial_enc
-    if args.query_enc:
-        cfg.model.query_encoding = args.query_enc
-    result = train(cfg, args.out, resume=args.resume, log=print)
+    model = dataclasses.replace(
+        cfg.model, spatial_encoding=args.spatial_enc or cfg.model.spatial_encoding,
+        query_encoding=args.query_enc or cfg.model.query_encoding)
+    result = train(dataclasses.replace(cfg, model=model), args.out,
+                   resume=args.resume, log=print)
     print(f"checkpoint: {result.checkpoint}")
     print(f"metrics: {result.metrics_csv}")
     print(f"last-epoch AP50={result.history[-1]['val_ap50']:.4f} "
-          f"last-10-median AP50={result.last10_median('val_ap50'):.4f}")
+          f"last-10-median AP={result.last10_median('val_ap'):.4f} "
+          f"AP50={result.last10_median('val_ap50'):.4f}")
     return 0
 
 
@@ -111,27 +112,11 @@ def cmd_ablate_layers(args) -> int:
     return 0
 
 
-def cmd_ablate_posenc(args) -> int:
-    cfg = _load_config(args.config)
-    cfg.model.spatial_encoding = args.mode
-    if args.query_enc:
-        cfg.model.query_encoding = args.query_enc
-    if args.epochs:
-        cfg.epochs = args.epochs
-        cfg.lr_drop_epoch = max(1, int(args.epochs * 0.75))
-    out = args.out or f"runs/posenc_{args.mode}"
-    result = train(cfg, out, log=print)
-    print(f"mode={args.mode} last-10-median AP={result.last10_median('val_ap'):.4f} "
-          f"AP50={result.last10_median('val_ap50'):.4f}")
-    return 0
-
-
 def cmd_ablate_loss(args) -> int:
     cfg = _load_config(args.config)
-    if args.drop == "l1":
-        cfg.loss.l1 = 0.0
-    elif args.drop == "giou":
-        cfg.loss.giou = 0.0
+    if args.drop:
+        cfg = dataclasses.replace(
+            cfg, loss=dataclasses.replace(cfg.loss, **{args.drop: 0.0}))
     out = args.out or f"runs/loss_drop_{args.drop or 'none'}"
     result = train(cfg, out, log=print)
     print(f"drop={args.drop} last-10-median AP={result.last10_median('val_ap'):.4f} "
@@ -278,15 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="layers.csv")
     p.add_argument("--nms", type=float, default=0.5)
     p.set_defaults(func=cmd_ablate_layers)
-
-    p = sub.add_parser("ablate-posenc", help="train a positional-encoding variant")
-    p.add_argument("--mode", required=True,
-                   choices=["none", "sine-input", "learned-attn", "sine-attn"])
-    p.add_argument("--query-enc", choices=["attn", "input"])
-    p.add_argument("--config")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate_posenc)
 
     p = sub.add_parser("ablate-loss", help="train with a box-loss term removed")
     p.add_argument("--drop", choices=["l1", "giou"])

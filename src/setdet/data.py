@@ -42,7 +42,7 @@ class AnnotationError(ValueError):
     """Malformed annotation record; message carries the record index."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     """Scene recipe; thing classes cycle through rectangle/disc/triangle."""
 
@@ -57,7 +57,7 @@ class SyntheticConfig:
     include_stuff_boxes: bool = False  # emit stuff bands as boxed targets
 
     def __post_init__(self):
-        self.size_range = tuple(self.size_range)
+        object.__setattr__(self, "size_range", tuple(self.size_range))
         if not 1 <= self.stuff_classes <= len(_STUFF_COLORS):
             raise ValueError(f"stuff_classes must be 1..{len(_STUFF_COLORS)}")
         if self.num_classes < 1 or self.num_classes > len(_THING_COLORS):
@@ -67,19 +67,6 @@ class SyntheticConfig:
         if self.size_range[0] < 3 or self.size_range[1] > self.image_side // 2:
             raise ValueError(f"size range {self.size_range} unusable for "
                              f"side {self.image_side}")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_side": self.image_side, "num_classes": self.num_classes,
-            "min_objects": self.min_objects, "max_objects": self.max_objects,
-            "size_range": list(self.size_range), "color_jitter": self.color_jitter,
-            "stuff_classes": self.stuff_classes, "min_visible": self.min_visible,
-            "include_stuff_boxes": self.include_stuff_boxes,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "SyntheticConfig":
-        return SyntheticConfig(**data)
 
 
 @dataclass
@@ -360,7 +347,7 @@ def _objects_json(targets: TargetSet):
 def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRef]:
     """Parse and validate the annotation schema.
 
-    Boxes must be componentwise in [0, 1]; class ids must be integers,
+    Boxes must be 4 JSON numbers in [0, 1]; class ids must be integers,
     and < K when ``num_classes`` is given; ``file``, if set, is a path
     string.  Violations raise AnnotationError naming the offending
     record index.
@@ -382,10 +369,11 @@ def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRe
                 if type(cls) is not int:
                     raise AnnotationError(
                         f"record {index}: class {cls!r} is not an integer")
-                box = [float(v) for v in obj["box"]]
-                if len(box) != 4 or any(v < 0.0 or v > 1.0 for v in box):
+                box = obj["box"]
+                if type(box) is not list or len(box) != 4 or any(
+                        type(v) not in (int, float) or not 0 <= v <= 1 for v in box):
                     raise AnnotationError(
-                        f"record {index}: box {box} outside [0,1]^4")
+                        f"record {index}: box {box!r} is not 4 numbers in [0, 1]")
                 if cls < 0 or (num_classes is not None and cls >= num_classes):
                     raise AnnotationError(f"record {index}: unknown class {cls}")
                 classes.append(cls)

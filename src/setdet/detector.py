@@ -24,7 +24,7 @@ CHECKPOINT_MAGIC = b"SDTR"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters of the toy detector."""
 
@@ -44,7 +44,7 @@ class ModelConfig:
     skip_first_self_attention: bool = False
 
     def __post_init__(self):
-        self.backbone_channels = tuple(self.backbone_channels)
+        object.__setattr__(self, "backbone_channels", tuple(self.backbone_channels))
         if self.d % self.num_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by {self.num_heads} heads")
         if self.d % 4 != 0:
@@ -58,6 +58,8 @@ class ModelConfig:
                 f"image side {self.image_side} not divisible by stride {self.stride}")
         if self.num_queries < 1:
             raise ConfigError("need at least one query slot")
+        if type(self.dropout) not in (int, float) or not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must be a real in [0, 1), got {self.dropout!r}")
 
     @property
     def stride(self) -> int:
@@ -66,24 +68,6 @@ class ModelConfig:
     @property
     def feature_side(self) -> int:
         return self.image_side // self.stride
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d, "num_heads": self.num_heads,
-            "enc_layers": self.enc_layers, "dec_layers": self.dec_layers,
-            "num_queries": self.num_queries, "num_classes": self.num_classes,
-            "ffn_width": self.ffn_width, "dropout": self.dropout,
-            "backbone_channels": list(self.backbone_channels),
-            "image_side": self.image_side,
-            "spatial_encoding": self.spatial_encoding,
-            "query_encoding": self.query_encoding,
-            "temperature": self.temperature,
-            "skip_first_self_attention": self.skip_first_self_attention,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ModelConfig":
-        return ModelConfig(**data)
 
 
 @dataclass

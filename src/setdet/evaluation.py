@@ -194,12 +194,6 @@ class PQResult:
     false_positives: int
     false_negatives: int
 
-    def to_dict(self):
-        return {"PQ": self.pq, "SQ": self.sq, "RQ": self.rq,
-                "PQ_th": self.pq_things, "PQ_st": self.pq_stuff,
-                "TP": self.true_positives, "FP": self.false_positives,
-                "FN": self.false_negatives}
-
 
 def panoptic_quality(pred: PanopticMap, gt: PanopticMap) -> PQResult:
     """Pooled panoptic quality.

@@ -11,6 +11,7 @@ backpropagation; only the loss stage is differentiated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,8 @@ class Assignment:
     def __len__(self) -> int:
         return len(self.slot_of_target)
 
-    def total_cost(self, cost: np.ndarray) -> float:
-        return float(cost[np.arange(len(self.slot_of_target)), self.slot_of_target].sum())
 
-
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Relative weights of the loss terms.
 
@@ -95,22 +93,10 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("l1", "giou", "eos", "dice", "focal"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be >= 0")
-
-
-def box_loss_tensor(pred: Tensor, target, weights: LossWeights) -> Tensor:
-    """Differentiable per-pair box loss, [k,4] -> [k,1]:
-    giou_weight * (1 - GIoU) + l1_weight * ||b - b_hat||_1."""
-    return (1.0 - giou_tensor(pred, target)) * weights.giou \
-        + l1_tensor(pred, target) * weights.l1
-
-
-def box_loss(target_box, pred_box, weights: LossWeights) -> float:
-    """Box loss of a single (ground truth, prediction) pair."""
-    t = np.asarray(target_box, dtype=np.float64).reshape(1, 4)
-    p = np.asarray(pred_box, dtype=np.float64).reshape(1, 4)
-    return float(box_loss_tensor(Tensor(p), t, weights).data[0, 0])
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 <= value < math.inf:
+                raise ValueError(f"loss weight {name} must be a finite real >= 0, "
+                                 f"got {value!r}")
 
 
 def box_cost_matrix(target_boxes: np.ndarray, pred_boxes: np.ndarray,
@@ -125,7 +111,7 @@ def matching_cost_matrix(class_logits: np.ndarray, pred_boxes: np.ndarray,
                          targets: TargetSet, weights: LossWeights) -> np.ndarray:
     """Pairwise matching cost between real targets (rows) and slots (cols).
 
-    Entry (i, j) = -p_j(c_i) + box_loss(b_i, b_hat_j).  The class term
+    Entry (i, j) = -p_j(c_i) + L_box(b_i, b_hat_j).  The class term
     uses plain probabilities, keeping it commensurable with the box
     term.  Rows exist only for real objects: the cost of pairing a slot
     with a no-object padding entry is a constant, so padding rows could

@@ -10,9 +10,7 @@ classes and removing tiny segments.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +18,6 @@ import numpy as np
 from . import tensor as T
 from .layers import ConfigError, kaiming_uniform, xavier_uniform
 from .tensor import Parameter, Tensor
-
-PANOPTIC_MAGIC = b"SPAN"
-PANOPTIC_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -215,47 +210,3 @@ def downsample_map(pmap: PanopticMap, factor: int) -> PanopticMap:
     present = set(np.unique(out).tolist()) - {0}
     segments = {sid: info for sid, info in pmap.segments.items() if sid in present}
     return PanopticMap(labels=out, segments=segments)
-
-
-def save_panoptic(pmap: PanopticMap, path: str):
-    """Binary dump: JSON segment table + row-major u16 label grid."""
-    table = {"segments": [{"id": int(sid), "class": info.class_id,
-                           "is_thing": info.is_thing}
-                          for sid, info in sorted(pmap.segments.items())]}
-    encoded = json.dumps(table).encode("utf-8")
-    h, w = pmap.labels.shape
-    if pmap.labels.max(initial=0) > np.iinfo(np.uint16).max:
-        raise ValueError("segment ids exceed u16 range")
-    with open(path, "wb") as fh:
-        fh.write(PANOPTIC_MAGIC)
-        fh.write(struct.pack("<II", PANOPTIC_VERSION, len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<II", h, w))
-        fh.write(pmap.labels.astype("<u2").tobytes())
-
-
-def load_panoptic(path: str) -> PanopticMap:
-    """Read a save_panoptic file; malformed input raises ValueError."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != PANOPTIC_MAGIC:
-        raise ValueError(f"bad panoptic magic {buf[:4]!r}")
-    if len(buf) < 12:
-        raise ValueError(f"panoptic header truncated at {len(buf)} bytes")
-    version, json_len = struct.unpack("<II", buf[4:12])
-    if version != PANOPTIC_VERSION:
-        raise ValueError(f"unsupported panoptic version {version}")
-    grid = 12 + json_len
-    if len(buf) < grid + 8:
-        raise ValueError(f"panoptic file truncated at {len(buf)} bytes, grid at {grid}")
-    h, w = struct.unpack("<II", buf[grid:grid + 8])
-    if len(buf) - grid - 8 != 2 * h * w:
-        raise ValueError(f"{h}x{w} label grid needs {2 * h * w} bytes, "
-                         f"found {len(buf) - grid - 8}")
-    try:
-        segments = {int(r["id"]): SegmentInfo(int(r["class"]), bool(r["is_thing"]))
-                    for r in json.loads(buf[12:grid])["segments"]}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed panoptic segment table: {exc!r}") from None
-    labels = np.frombuffer(buf, "<u2", offset=grid + 8).reshape(h, w).astype(np.int64)
-    return PanopticMap(labels=labels, segments=segments)

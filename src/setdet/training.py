@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite; message carries diagnostics."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization recipe plus the nested model/data/loss configs."""
 
@@ -79,6 +80,14 @@ class TrainConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("lr_transformer", "lr_backbone", "clip_norm",
+                     "lr_drop_factor", "weight_decay"):
+            value = getattr(self, name)
+            positive = name != "weight_decay"
+            if (type(value) not in (int, float) or not 0 <= value < math.inf
+                    or positive and value == 0):
+                raise ValueError(f"{name} must be a finite real "
+                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
         if not 1 <= self.lr_drop_epoch < self.epochs:
             raise ValueError(
                 f"lr_drop_epoch {self.lr_drop_epoch} must be in [1, {self.epochs})")
@@ -97,33 +106,13 @@ class TrainConfig:
         scale = self.lr_scale(epoch)
         return self.lr_transformer * scale, self.lr_backbone * scale
 
-    def to_dict(self) -> dict:
-        return {
-            "lr_transformer": self.lr_transformer, "lr_backbone": self.lr_backbone,
-            "weight_decay": self.weight_decay, "clip_norm": self.clip_norm,
-            "dropout": self.model.dropout, "epochs": self.epochs,
-            "lr_drop_epoch": self.lr_drop_epoch,
-            "lr_drop_factor": self.lr_drop_factor,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "train_size": self.train_size, "val_size": self.val_size,
-            "aux_loss": self.aux_loss,
-            "loss": {"l1": self.loss.l1, "giou": self.loss.giou,
-                     "eos": self.loss.eos, "dice": self.loss.dice,
-                     "focal": self.loss.focal},
-            "model": self.model.to_dict(),
-            "data": self.data.to_dict(),
-        }
-
     @staticmethod
     def from_dict(data: dict) -> "TrainConfig":
+        """The one reader: an unknown key at any level fails in a constructor."""
         data = dict(data)
-        dropout = data.pop("dropout", None)
-        model = ModelConfig.from_dict(data.pop("model", {}))
-        if dropout is not None:
-            model.dropout = dropout
-        loss = LossWeights(**data.pop("loss", {}))
-        synth = SyntheticConfig.from_dict(data.pop("data", {}))
-        return TrainConfig(model=model, loss=loss, data=synth, **data)
+        return TrainConfig(model=ModelConfig(**data.pop("model", {})),
+                           loss=LossWeights(**data.pop("loss", {})),
+                           data=SyntheticConfig(**data.pop("data", {})), **data)
 
     @staticmethod
     def from_json(path: str) -> "TrainConfig":
@@ -132,7 +121,7 @@ class TrainConfig:
 
     def to_json(self, path: str):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            json.dump(asdict(self), fh, indent=1)
 
 
 class AdamW:
@@ -425,7 +414,7 @@ def _save_state(model, optimizer, epoch, path):
 
 # -- mask head training (two-step recipe) --------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MaskTrainConfig:
     epochs: int = 25
     lr: float = 1e-4

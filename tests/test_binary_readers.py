@@ -1,5 +1,5 @@
-"""The SDTR state files (model, optimizer, mask head) and the other binary
-readers: byte compatibility with the original writers, strict rejection
+"""The SDTR state files (model, optimizer, mask head) and the raw image
+reader: byte compatibility with the original writers, strict rejection
 of malformed input, and truncation / byte-flip fuzzing."""
 
 import math
@@ -18,13 +18,7 @@ from setdet.detector import (
     save_checkpoint,
     write_arrays,
 )
-from setdet.segmentation import (
-    MaskHead,
-    PanopticMap,
-    SegmentInfo,
-    load_panoptic,
-    save_panoptic,
-)
+from setdet.segmentation import MaskHead
 from setdet.training import AdamW, load_mask_head
 
 TINY = dict(d=8, num_heads=2, enc_layers=1, dec_layers=1, num_queries=3,
@@ -210,13 +204,6 @@ def image_layout(buf):
     return [4, 8], [0, 4, 8, 12], [(12, len(buf) - 12)]
 
 
-def panoptic_layout(buf):
-    (json_len,) = struct.unpack_from("<I", buf, 8)
-    grid = 12 + json_len
-    return ([8, grid, grid + 4], [0, 4, 8, 12, grid, grid + 4, grid + 8],
-            [(12, json_len), (grid + 8, len(buf) - grid - 8)])
-
-
 def mutations(buf, layout, rng, payload_cuts=24):
     """Truncations at every header boundary and at sampled payload offsets,
     then single-byte flips in every count, rank and length field."""
@@ -282,29 +269,9 @@ class TestFuzz:
         fuzz(tmp_path, (tmp_path / "img.raw").read_bytes(), image_layout,
              load_image_raw, lambda: None, AnnotationError)
 
-    def test_panoptic(self, tmp_path):
-        labels = np.random.default_rng(4).integers(0, 3, (6, 5))
-        pmap = PanopticMap(labels, {1: SegmentInfo(0, True), 2: SegmentInfo(3, False)})
-        save_panoptic(pmap, str(tmp_path / "map.span"))
-        fuzz(tmp_path, (tmp_path / "map.span").read_bytes(), panoptic_layout,
-             load_panoptic, lambda: None, ValueError,
-             match="magic|truncated|needs|malformed")
-
     def test_short_prefixes(self, tmp_path):
         # a 6-byte prefix used to escape as struct.error
         save_image_raw(str(tmp_path / "img.raw"), np.zeros((3, 2, 2)))
-        save_panoptic(PanopticMap(np.zeros((2, 2), dtype=np.int64), {}),
-                      str(tmp_path / "map.span"))
         (tmp_path / "img6").write_bytes((tmp_path / "img.raw").read_bytes()[:6])
-        (tmp_path / "map6").write_bytes((tmp_path / "map.span").read_bytes()[:6])
         with pytest.raises(AnnotationError, match="truncated"):
             load_image_raw(str(tmp_path / "img6"))
-        with pytest.raises(ValueError, match="truncated"):
-            load_panoptic(str(tmp_path / "map6"))
-
-    def test_panoptic_table_not_json(self, tmp_path):
-        table = b"{not json"
-        (tmp_path / "map").write_bytes(b"SPAN" + struct.pack("<II", 1, len(table))
-                                       + table + struct.pack("<II", 0, 0))
-        with pytest.raises(ValueError, match="malformed panoptic segment table"):
-            load_panoptic(str(tmp_path / "map"))

@@ -152,8 +152,11 @@ class TestAnnotations:
     def test_out_of_range_box_rejected_with_index(self, tmp_path):
         good = {"id": 0, "width": 64, "height": 64, "synthetic_seed": 0,
                 "objects": [{"class": 0, "box": [0.5, 0.5, 0.2, 0.2]}]}
-        # an out-of-range box, and synthetic seeds that are not integers >= 0
-        for bad in ({"objects": [{"class": 0, "box": [0.5, 0.5, 1.2, 0.2]}]},
+        # boxes that are not 4 numbers in [0, 1], and synthetic seeds that are
+        # not integers >= 0
+        box_cases = ([0.5, 0.5, 1.2, 0.2], [float("nan"), 0.5, 0.2, 0.2],
+                     ["0.5", 0.5, 0.2, 0.2], [True, 0.5, 0.2, 0.2])
+        for bad in (*({"objects": [{"class": 0, "box": box}]} for box in box_cases),
                     {"synthetic_seed": -1}, {"synthetic_seed": "7"},
                     {"synthetic_seed": 2.5}, {"synthetic_seed": True}):
             path = tmp_path / "bad.json"

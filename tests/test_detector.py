@@ -39,10 +39,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(image_side=60)
 
-    def test_roundtrip_dict(self):
-        cfg = ModelConfig(**TINY)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestBackbone:
     def test_stride_arithmetic(self):

@@ -9,10 +9,8 @@ from setdet.segmentation import (
     PanopticMap,
     SegmentInfo,
     downsample_map,
-    load_panoptic,
     panoptic_from_sample,
     panoptic_merge,
-    save_panoptic,
 )
 from setdet.tensor import Tensor, grad_check
 
@@ -180,16 +178,3 @@ class TestPanopticGroundTruth:
         down = downsample_map(pmap, 4)
         assert down.labels.shape == (2, 2)
         assert (down.labels[:, 0] == 1).all() and (down.labels[:, 1] == 2).all()
-
-
-def test_panoptic_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    labels = rng.integers(0, 4, (12, 9)).astype(np.int64)
-    segments = {1: SegmentInfo(0, True), 2: SegmentInfo(1, True),
-                3: SegmentInfo(5, False)}
-    pmap = PanopticMap(labels, segments)
-    path = str(tmp_path / "map.span")
-    save_panoptic(pmap, path)
-    loaded = load_panoptic(path)
-    np.testing.assert_array_equal(loaded.labels, pmap.labels)
-    assert loaded.segments == pmap.segments

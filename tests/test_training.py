@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import json
+import math
 import os
 import threading
 
@@ -18,6 +20,7 @@ from setdet.detector import (
     save_checkpoint,
 )
 from setdet.evaluation import nms
+from setdet.layers import ConfigError
 from setdet.matching import LossWeights, total_loss
 from setdet.tensor import DimensionError, Parameter, Tensor
 from setdet.training import (
@@ -164,20 +167,76 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} "):
             TrainConfig.from_dict({name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("lr_transformer", 0.0), ("lr_transformer", "1e-4"), ("lr_backbone", -1e-5),
+        ("lr_backbone", math.nan), ("clip_norm", -1.0), ("clip_norm", math.inf),
+        ("lr_drop_factor", 0), ("lr_drop_factor", True), ("weight_decay", -1e-4),
+        ("weight_decay", math.nan)])
+    def test_float_fields_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real"):
+            tiny_train_config(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real"):
+            TrainConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("value", [1.0, -0.5, math.nan, "0.1", True])
+    def test_model_dropout_checked(self, value):
+        with pytest.raises(ConfigError, match="^dropout must be a real in"):
+            ModelConfig(**{**TINY_MODEL, "dropout": value})
+        with pytest.raises(ConfigError, match="^dropout must be a real in"):
+            TrainConfig.from_dict({"model": {"dropout": value}})
+
+    @pytest.mark.parametrize("name, value", [
+        ("l1", "5"), ("giou", math.inf), ("eos", math.nan), ("dice", -1.0),
+        ("focal", False)])
+    def test_loss_weights_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^loss weight {name} must be a finite real"):
+            LossWeights(**{name: value})
+        with pytest.raises(ValueError, match=f"^loss weight {name} must be a finite real"):
+            TrainConfig.from_dict({"loss": {name: value}})
+
     def test_json_roundtrip(self, tmp_path):
-        cfg = tiny_train_config()
+        # a field changed at every level, the tuples included
+        cfg = tiny_train_config(
+            weight_decay=0.0, aux_loss=False, loss=LossWeights(eos=0.25, focal=2),
+            model=ModelConfig(**{**TINY_MODEL, "dropout": 0.2,
+                                 "spatial_encoding": "learned-attn"}),
+            data=SyntheticConfig(**{**TINY_DATA, "size_range": (5, 8)}))
         path = str(tmp_path / "cfg.json")
         cfg.to_json(path)
-        loaded = TrainConfig.from_json(path)
-        assert loaded.to_dict() == cfg.to_dict()
+        assert TrainConfig.from_json(path) == cfg
 
-    def test_top_level_dropout_override(self):
-        cfg = TrainConfig.from_dict({"dropout": 0.25,
-                                     "model": ModelConfig(**TINY_MODEL).to_dict(),
-                                     "data": SyntheticConfig(**TINY_DATA).to_dict(),
-                                     "epochs": 2, "lr_drop_epoch": 1,
-                                     "train_size": 8, "val_size": 4})
-        assert cfg.model.dropout == 0.25
+    def test_json_keys_are_the_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        tiny_train_config().to_json(str(path))
+        data = json.loads(path.read_text())
+
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+        assert set(data) == fields(TrainConfig)
+        assert set(data["model"]) == fields(ModelConfig)
+        assert set(data["loss"]) == fields(LossWeights)
+        assert set(data["data"]) == fields(SyntheticConfig)
+
+    def test_edited_model_dropout_takes_effect(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        tiny_train_config(model=ModelConfig(**{**TINY_MODEL, "dropout": 0.1})) \
+            .to_json(str(path))
+        data = json.loads(path.read_text())
+        data["model"]["dropout"] = 0.0
+        path.write_text(json.dumps(data))
+        assert TrainConfig.from_json(str(path)).model.dropout == 0.0
+
+    def test_top_level_dropout_rejected(self):
+        with pytest.raises(TypeError, match="'dropout'"):
+            TrainConfig.from_dict({"dropout": 0.25})
+
+    @pytest.mark.parametrize("config, name", [
+        (TrainConfig(), "epochs"), (ModelConfig(), "dropout"),
+        (SyntheticConfig(), "max_objects"), (LossWeights(), "l1"),
+        (training.MaskTrainConfig(), "lr")])
+    def test_configs_are_frozen(self, config, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
 
 
 class TestTrainLoop:
