@@ -25,21 +25,23 @@ def box_corners(boxes: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU, [m, 4] x [n, 4] -> [m, n]; zero-area pairs give 0."""
+    """Pairwise IoU, [..., m, 4] x [..., n, 4] -> [..., m, n]; zero-area
+    pairs give 0.  Leading axes broadcast: [I, m, 4] x [I, n, 4] gives one
+    [m, n] matrix per image, each equal to that image's 2-D call."""
     inter, union, _ = _pairwise_areas(boxes_a, boxes_b)
     return inter / np.maximum(union, _AREA_EPS)
 
 
 def giou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU in [-1, 1]."""
+    """Pairwise generalized IoU in [-1, 1], shaped as ``iou_matrix``."""
     inter, union, hull = _pairwise_areas(boxes_a, boxes_b)
     iou = inter / np.maximum(union, _AREA_EPS)
     return iou - (hull - union) / np.maximum(hull, _AREA_EPS)
 
 
 def _pairwise_areas(boxes_a, boxes_b):
-    ca = box_corners(boxes_a)[:, None, :]       # [m,1,4]
-    cb = box_corners(boxes_b)[None, :, :]       # [1,n,4]
+    ca = box_corners(boxes_a)[..., :, None, :]  # [...,m,1,4]
+    cb = box_corners(boxes_b)[..., None, :, :]  # [...,1,n,4]
     iw = np.maximum(np.minimum(ca[..., 2], cb[..., 2])
                     - np.maximum(ca[..., 0], cb[..., 0]), 0.0)
     ih = np.maximum(np.minimum(ca[..., 3], cb[..., 3])

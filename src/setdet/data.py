@@ -11,6 +11,7 @@ reproducible bit-for-bit from (seed, index).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -57,7 +58,24 @@ class SyntheticConfig:
     include_stuff_boxes: bool = False  # emit stuff bands as boxed targets
 
     def __post_init__(self):
-        object.__setattr__(self, "size_range", tuple(self.size_range))
+        size_range = self.size_range
+        if (not isinstance(size_range, (list, tuple)) or len(size_range) != 2
+                or any(type(v) is not int for v in size_range)):
+            raise ValueError(f"size_range must be a pair of ints, got {size_range!r}")
+        object.__setattr__(self, "size_range", tuple(size_range))
+        for name in ("image_side", "num_classes", "min_objects", "max_objects",
+                     "stuff_classes"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.include_stuff_boxes) is not bool:
+            raise ValueError(f"include_stuff_boxes must be a bool, "
+                             f"got {self.include_stuff_boxes!r}")
+        if type(self.color_jitter) not in (int, float) or not 0 <= self.color_jitter < math.inf:
+            raise ValueError(f"color_jitter must be a finite real >= 0, "
+                             f"got {self.color_jitter!r}")
+        if type(self.min_visible) not in (int, float) or not 0 <= self.min_visible <= 1:
+            raise ValueError(f"min_visible must be a real in [0, 1], got {self.min_visible!r}")
         if not 1 <= self.stuff_classes <= len(_STUFF_COLORS):
             raise ValueError(f"stuff_classes must be 1..{len(_STUFF_COLORS)}")
         if self.num_classes < 1 or self.num_classes > len(_THING_COLORS):

@@ -44,7 +44,23 @@ class ModelConfig:
     skip_first_self_attention: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.backbone_channels, (list, tuple)):
+            raise ConfigError(f"backbone_channels must be a list of ints, "
+                              f"got {self.backbone_channels!r}")
         object.__setattr__(self, "backbone_channels", tuple(self.backbone_channels))
+        # an empty encoder is the identity; the heads read the last decoder layer
+        lows = {"d": 1, "num_heads": 1, "enc_layers": 0, "dec_layers": 1, "num_queries": 1,
+                "num_classes": 1, "ffn_width": 1, "image_side": 1}
+        named = [(name, getattr(self, name), low) for name, low in lows.items()]
+        named += [(f"backbone_channels[{i}]", c, 1) for i, c in enumerate(self.backbone_channels)]
+        for name, value, low in named:
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+        if type(self.temperature) not in (int, float) or not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be a finite real > 0, got {self.temperature!r}")
+        if type(self.skip_first_self_attention) is not bool:
+            raise ConfigError(f"skip_first_self_attention must be a bool, "
+                              f"got {self.skip_first_self_attention!r}")
         if self.d % self.num_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by {self.num_heads} heads")
         if self.d % 4 != 0:
@@ -56,8 +72,6 @@ class ModelConfig:
         if self.image_side % self.stride != 0:
             raise ConfigError(
                 f"image side {self.image_side} not divisible by stride {self.stride}")
-        if self.num_queries < 1:
-            raise ConfigError("need at least one query slot")
         if type(self.dropout) not in (int, float) or not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be a real in [0, 1), got {self.dropout!r}")
 

@@ -6,8 +6,11 @@ classes.  Size buckets split ground truth by box area fraction of the
 image: small < 1/64, medium < 1/16, large otherwise (the 64x64 analogue
 of the usual 32^2/96^2 pixel cutoffs).
 
-As in pycocotools' COCOeval, IoU is computed once per image and class, and
-every IoU threshold and size bucket is matched against that one matrix.
+As in pycocotools' COCOeval, each image's IoUs within a class are computed
+once, and every IoU threshold and size bucket is matched against them.  A
+class is scored in one pass over all I images: its detections and ground
+truth are padded into [I, n_max, 4] and [I, m_max, 4] stacks, giving one
+[I, n_max, m_max] IoU tensor and one greedy match per class.
 """
 
 from __future__ import annotations
@@ -53,62 +56,95 @@ class EvalReport:
 def greedy_match(ious, thresholds, ignored=None) -> np.ndarray:
     """Greedy matching of ranked detections to ground truth, per threshold.
 
-    ``ious`` is [n, m] with rows in descending detection confidence.  At
-    each of the T ``thresholds``, a row takes the not yet taken column of
-    highest IoU >= threshold (the first on ties).  Columns flagged in
-    ``ignored`` ([m], or [T, m] for one mask per threshold) are tried only
-    when no other column qualifies.  Returns [T, n]: the column each row
-    took, or -1.
+    ``ious`` is [..., n, m] with rows in descending detection confidence;
+    each leading index (an image, say) is a problem of its own.  At each of
+    the T ``thresholds``, a row takes the not yet taken column of highest
+    IoU >= threshold (the first on ties).  Columns flagged in ``ignored``
+    (broadcast against [..., T, m]: [m] for every threshold, or one mask
+    per threshold) are tried only when no other column qualifies.  Returns
+    [..., T, n]: the column each row took, or -1.
     """
     ious = np.asarray(ious, dtype=np.float64)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    n, m = ious.shape
-    ignored = np.broadcast_to(False if ignored is None else ignored, (len(thresholds), m))
-    taken = np.zeros((len(thresholds), m), dtype=bool)
-    took = np.full((len(thresholds), n), -1)
+    *batch, n, m = ious.shape
+    took = np.full((n, *batch, len(thresholds)), -1)
     if m == 0:
-        return took
-    for i, row in enumerate(ious):
-        for pool in (~ignored, ignored):
-            free = np.where(pool & ~taken, row, -1.0)
-            best = free.argmax(axis=1)
-            hit = (took[:, i] < 0) & (free.max(axis=1) >= thresholds)
-            took[hit, i] = best[hit]
-            taken[hit, best[hit]] = True
-    return took
+        return np.moveaxis(took, 0, -1)
+    # columns lead, so each reduction over them is m whole-array passes
+    # instead of one short reduction per (..., threshold)
+    ious = np.moveaxis(ious, -1, 0)[..., None]                    # [m, ..., n, 1]
+    ignored = np.moveaxis(np.broadcast_to(False if ignored is None else ignored,
+                                          (*batch, len(thresholds), m)), -1, 0)
+    taken = np.zeros(ignored.shape, dtype=bool)                   # [m, ..., T]
+    columns = np.arange(m).reshape(m, *[1] * (taken.ndim - 1))
+    pools = (~ignored, ignored)
+    for i in range(n):
+        for pool in pools:
+            free = np.where(pool & ~taken, ious[..., i, :], -1.0)
+            top = free.max(axis=0)
+            best = np.where(free == top, columns, m).min(axis=0)  # first column at the top
+            hit = (took[i] < 0) & (top >= thresholds)
+            took[i][hit] = best[hit]
+            taken |= hit & (columns == best)
+    return np.moveaxis(took, 0, -1)
 
 
-def _class_ap(detections_by_image, gts_by_image, thresholds, area_ranges) -> np.ndarray:
-    """AP of one class at every area range and threshold, [R, T], from one
-    IoU matrix per image; ``average_precision`` gives the rules."""
+def _pad(rows, image, num_images):
+    """Flat ``rows`` grouped by a non-decreasing ``image`` index -> the
+    zero-padded [I, k_max, ...] stack and its [I, k_max] mask of real rows;
+    each image keeps its rows' order."""
+    counts = np.bincount(image, minlength=num_images)
+    slot = np.arange(len(image)) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((num_images, counts.max(initial=0), *rows.shape[1:]))
+    padded[image, slot] = rows
+    return padded, np.arange(padded.shape[1]) < counts[:, None]
+
+
+def _class_ap(scores, det_boxes, det_image, gt_boxes, gt_image, num_images,
+              thresholds, area_ranges) -> np.ndarray:
+    """AP of one class at every area range and threshold, [R, T].
+
+    Detections (``scores`` [D], ``det_boxes`` [D, 4]) and ground truth
+    (``gt_boxes`` [G, 4]) come flat in image order, with each row's image in
+    ``det_image`` / ``gt_image``; ``average_precision`` gives the rules.
+    Both sides are padded to one [I, k_max, 4] stack, so one IoU tensor and
+    one greedy match serve every image; padded pairs get IoU -1 and never
+    reach a threshold.
+    """
     num_t = len(thresholds)
     # one (range, threshold) pair per row: [R*T, 1]
     lo, hi = np.repeat(np.asarray(area_ranges, dtype=np.float64).T, num_t, axis=1)[:, :, None]
-    confidences, outcomes, total_gt = [], [np.zeros((len(lo), 0), dtype=int)], 0
-    for dets, gts in zip(detections_by_image, gts_by_image):
-        dets = sorted(dets, key=lambda d: -d[0])
-        boxes = np.array([box for _, box in dets], dtype=np.float64).reshape(-1, 4)
-        gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
-        det_area = boxes[:, 2] * boxes[:, 3]
-        # the appended NaN area lies in no range; a row that took no column reads it
-        gt_area = np.append(gts[:, 2] * gts[:, 3], np.nan)
-        gt_inside = (gt_area >= lo) & (gt_area < hi)
-        took = greedy_match(iou_matrix(boxes, gts), np.tile(thresholds, len(area_ranges)),
-                            ~gt_inside[:, :-1])
-        # +1 true positive, -1 false positive, 0 drops out of the curve
-        outcomes.append(np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=1),
-                                 -1 * ((det_area >= lo) & (det_area < hi))))
-        total_gt = total_gt + gt_inside.sum(axis=1)
-        confidences.extend(conf for conf, _ in dets)
+    # descending confidence within each image, ties in detection order
+    order = np.lexsort((-scores, det_image))
+    scores, det_image = scores[order], det_image[order]
+    dets, det_real = _pad(det_boxes[order], det_image, num_images)    # [I, n, 4]
+    gts, gt_real = _pad(gt_boxes, gt_image, num_images)               # [I, m, 4]
+    ious = np.where(det_real[:, :, None] & gt_real[:, None, :], iou_matrix(dets, gts), -1.0)
+    det_area = (dets[..., 2] * dets[..., 3])[:, None, :]
+    # padding and an appended column have NaN area, in no range; a row that
+    # took no column reads the appended one
+    gt_area = np.where(gt_real, gts[..., 2] * gts[..., 3], np.nan)
+    gt_area = np.pad(gt_area, ((0, 0), (0, 1)), constant_values=np.nan)[:, None, :]
+    gt_inside = (gt_area >= lo) & (gt_area < hi)                       # [I, R*T, m+1]
+    took = greedy_match(ious, np.tile(thresholds, len(area_ranges)), ~gt_inside[..., :-1])
+    # +1 true positive, -1 false positive, 0 drops out of the curve
+    outcomes = np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=-1),
+                        -1 * ((det_area >= lo) & (det_area < hi)))
+    total_gt = gt_inside.sum(axis=(0, 2))
 
-    # descending confidence; ties keep image order, then detection order
-    rank = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
-    outcomes = np.concatenate(outcomes, axis=1)[:, rank]
+    # real rows in image, then detection order; ties in confidence keep it
+    rank = np.argsort(-scores, kind="stable")
+    outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]
     aps = np.full(len(outcomes), np.nan)
     for k in np.flatnonzero(total_gt):
         tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
         aps[k] = _interpolated_ap(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
     return aps.reshape(len(area_ranges), num_t)
+
+
+def _image_index(per_image) -> np.ndarray:
+    """The image of each row when the per-image lists are concatenated."""
+    return np.repeat(np.arange(len(per_image)), [len(rows) for rows in per_image])
 
 
 def average_precision(detections_by_image, gts_by_image, iou_thresh: float,
@@ -125,8 +161,22 @@ def average_precision(detections_by_image, gts_by_image, iou_thresh: float,
     ignored: detections matching ignored boxes (or unmatched detections
     whose own area is outside the bucket) drop out of the curve.
     """
-    return float(_class_ap(detections_by_image, gts_by_image, [iou_thresh],
+    return float(_class_ap(*_flatten(detections_by_image, gts_by_image), [iou_thresh],
                            [area_bucket or AREA_RANGES[0]])[0, 0])
+
+
+def _flatten(detections_by_image, gts_by_image) -> tuple:
+    """Per-image (confidence, box) lists and [m, 4] arrays -> the leading
+    arguments of ``_class_ap``."""
+    if len(detections_by_image) != len(gts_by_image):
+        raise ValueError(f"{len(detections_by_image)} detection lists for "
+                         f"{len(gts_by_image)} images")
+    dets = [det for image_dets in detections_by_image for det in image_dets]
+    gts = [np.asarray(g, dtype=np.float64).reshape(-1, 4) for g in gts_by_image]
+    return (np.array([conf for conf, _ in dets], dtype=np.float64),
+            np.array([box for _, box in dets], dtype=np.float64).reshape(-1, 4),
+            _image_index(detections_by_image), np.concatenate([np.zeros((0, 4)), *gts]),
+            _image_index(gts), len(gts))
 
 
 def _interpolated_ap(recall, precision) -> float:
@@ -143,15 +193,28 @@ def _mean_over_classes(values) -> float:
     return float(np.mean(values)) if values.size else float("nan")
 
 
+def _by_class(classes, num_classes: int) -> list:
+    """Row indices of each class in 0..num_classes-1, in row order; other
+    class ids are in no list."""
+    order = np.argsort(classes, kind="stable")
+    bounds = np.searchsorted(classes[order], np.arange(num_classes + 1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def evaluate_detections(detections, target_sets, num_classes: int) -> EvalReport:
     """Full COCO-style report; per-class APs averaged over thresholds."""
+    scores, det_boxes, det_image, gt_boxes, gt_image, num_images = _flatten(
+        [[(d.confidence, d.box) for d in image_dets] for image_dets in detections],
+        [ts.boxes for ts in target_sets])
+    det_rows = _by_class(np.array([d.class_id for image_dets in detections
+                                   for d in image_dets], dtype=np.int64), num_classes)
+    gt_rows = _by_class(np.concatenate([np.zeros(0, dtype=np.int64),
+                                        *(ts.classes for ts in target_sets)]), num_classes)
     grid = {}
-    for cls in range(num_classes):
-        dets = [[(d.confidence, d.box) for d in image_dets if d.class_id == cls]
-                for image_dets in detections]
-        gts = [ts.boxes[ts.classes == cls] for ts in target_sets]
-        if sum(len(g) for g in gts):
-            grid[cls] = _class_ap(dets, gts, IOU_THRESHOLDS, AREA_RANGES)
+    for cls, (d, g) in enumerate(zip(det_rows, gt_rows)):
+        if len(g):
+            grid[cls] = _class_ap(scores[d], det_boxes[d], det_image[d], gt_boxes[g],
+                                  gt_image[g], num_images, IOU_THRESHOLDS, AREA_RANGES)
     aps = np.array(list(grid.values())).reshape(-1, len(AREA_RANGES), len(IOU_THRESHOLDS))
     by_range = aps.mean(axis=2)                                          # [C, R]
     return EvalReport(

@@ -50,6 +50,27 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the loss turns non-finite; message carries diagnostics."""
 
 
+def _check_ints(cfg, names, at_least_one):
+    """Non-bool ints, and >= 1 for the names in ``at_least_one``."""
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if name in at_least_one and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_reals(cfg, names):
+    """Finite non-bool reals, > 0 except ``weight_decay`` (>= 0)."""
+    for name in names:
+        value = getattr(cfg, name)
+        positive = name != "weight_decay"
+        if (type(value) not in (int, float) or not 0 <= value < math.inf
+                or positive and value == 0):
+            raise ValueError(f"{name} must be a finite real "
+                             f"{'> 0' if positive else '>= 0'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization recipe plus the nested model/data/loss configs."""
@@ -71,28 +92,17 @@ class TrainConfig:
     data: SyntheticConfig = field(default_factory=SyntheticConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "lr_drop_epoch", "batch_size", "train_size",
-                     "val_size"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("batch_size", "train_size", "val_size"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in ("lr_transformer", "lr_backbone", "clip_norm",
-                     "lr_drop_factor", "weight_decay"):
-            value = getattr(self, name)
-            positive = name != "weight_decay"
-            if (type(value) not in (int, float) or not 0 <= value < math.inf
-                    or positive and value == 0):
-                raise ValueError(f"{name} must be a finite real "
-                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
+        _check_ints(self, ("epochs", "lr_drop_epoch", "batch_size", "train_size", "val_size"),
+                    at_least_one=("batch_size", "train_size", "val_size"))
+        _check_reals(self, ("lr_transformer", "lr_backbone", "clip_norm", "lr_drop_factor",
+                            "weight_decay"))
         if not 1 <= self.lr_drop_epoch < self.epochs:
             raise ValueError(
                 f"lr_drop_epoch {self.lr_drop_epoch} must be in [1, {self.epochs})")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        if type(self.aux_loss) is not bool:
+            raise ValueError(f"aux_loss must be a bool, got {self.aux_loss!r}")
         if self.data.max_objects > self.model.num_queries:
             raise ValueError(
                 f"{self.data.max_objects} objects exceed {self.model.num_queries} slots")
@@ -422,6 +432,11 @@ class MaskTrainConfig:
     clip_norm: float = 0.1
     batch_size: int = 16
     hidden: int = 8
+
+    def __post_init__(self):
+        _check_ints(self, ("epochs", "batch_size", "hidden"),
+                    at_least_one=("epochs", "batch_size", "hidden"))
+        _check_reals(self, ("lr", "weight_decay", "clip_norm"))
 
 
 def train_mask_head(model: Detector, cfg: TrainConfig,

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from setdet import evaluation
-from setdet.boxes import iou_matrix
+from setdet.boxes import giou_matrix, iou_matrix
 from setdet.detector import Detection
 from setdet.evaluation import (
+    AREA_RANGES,
     IOU_THRESHOLDS,
     EvalReport,
     average_precision,
@@ -39,6 +40,20 @@ class TestIouMatrix:
     def test_zero_area(self):
         z = np.array([[0.5, 0.5, 0.0, 0.0]])
         assert iou_matrix(z, z)[0, 0] == 0.0
+
+    @pytest.mark.parametrize("pairwise", [iou_matrix, giou_matrix])
+    def test_leading_axis_equals_per_slice(self, pairwise):
+        rng = np.random.default_rng(6)
+        # sixteenths tie exactly; a zero side gives zero-area boxes
+        a = np.concatenate([rng.integers(4, 13, (5, 7, 2)), rng.integers(0, 9, (5, 7, 2))], -1) / 16
+        b = np.concatenate([rng.integers(4, 13, (5, 3, 2)), rng.integers(0, 9, (5, 3, 2))], -1) / 16
+        assert (a[..., 2:] == 0).any() and (b[..., 2:] == 0).any()
+        batched = pairwise(a, b)
+        assert batched.shape == (5, 7, 3)
+        for i in range(5):
+            np.testing.assert_array_equal(batched[i], pairwise(a[i], b[i]), strict=True)
+        # one set of ground truth broadcast against every image
+        np.testing.assert_array_equal(pairwise(a, b[0]), np.stack([pairwise(x, b[0]) for x in a]))
 
 
 def ap_oracle(flags, total_gt):
@@ -234,18 +249,98 @@ class TestFrozenReports:
         detections, targets, num_classes = scored_scenes(*SCENARIOS[name])
         assert report_reprs(evaluate_detections(detections, targets, num_classes)) == want
 
-    def test_iou_computed_once_per_image_and_class(self, monkeypatch):
+    def test_iou_computed_once_per_class(self, monkeypatch):
+        # one [I, n_max, m_max] tensor per class with ground truth, never
+        # one per threshold or area range
         calls = []
 
         def counting_iou(a, b):
-            calls.append(1)
+            calls.append(a.shape[:-2])
             return iou_matrix(a, b)
 
         monkeypatch.setattr(evaluation, "iou_matrix", counting_iou)
         detections, targets, num_classes = scored_scenes(*SCENARIOS["seed0"])
         evaluate_detections(detections, targets, num_classes)
         classes_with_gt = len(np.unique(np.concatenate([t.classes for t in targets])))
-        assert len(calls) == len(targets) * classes_with_gt
+        assert calls == [(len(targets),)] * classes_with_gt
+
+
+def class_ap_per_image(detections_by_image, gts_by_image, thresholds=IOU_THRESHOLDS):
+    """_class_ap before it padded the images into one tensor: one IoU
+    matrix and one greedy match per image, at every range and threshold."""
+    lo, hi = np.repeat(np.asarray(AREA_RANGES).T, len(thresholds), axis=1)[:, :, None]
+    confidences, outcomes, total_gt = [], [np.zeros((len(lo), 0), dtype=int)], 0
+    for dets, gts in zip(detections_by_image, gts_by_image):
+        dets = sorted(dets, key=lambda d: -d[0])
+        boxes = np.array([box for _, box in dets], dtype=np.float64).reshape(-1, 4)
+        gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
+        det_area = boxes[:, 2] * boxes[:, 3]
+        gt_area = np.append(gts[:, 2] * gts[:, 3], np.nan)
+        gt_inside = (gt_area >= lo) & (gt_area < hi)
+        took = greedy_match(iou_matrix(boxes, gts), np.tile(thresholds, len(AREA_RANGES)),
+                            ~gt_inside[:, :-1])
+        outcomes.append(np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=1),
+                                 -1 * ((det_area >= lo) & (det_area < hi))))
+        total_gt = total_gt + gt_inside.sum(axis=1)
+        confidences.extend(conf for conf, _ in dets)
+    rank = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
+    outcomes = np.concatenate(outcomes, axis=1)[:, rank]
+    aps = np.full(len(outcomes), np.nan)
+    for k in np.flatnonzero(total_gt):
+        tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
+        aps[k] = evaluation._interpolated_ap(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
+    return aps.reshape(len(AREA_RANGES), len(thresholds))
+
+
+def batched_class_ap(detections_by_image, gts_by_image, thresholds=IOU_THRESHOLDS):
+    return evaluation._class_ap(*evaluation._flatten(detections_by_image, gts_by_image),
+                                thresholds, AREA_RANGES)
+
+
+class TestBatchedClassAp:
+    """All images of a class in one padded tensor give bitwise the APs of
+    one matrix per image."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scored_scenes_equal_per_image(self, name):
+        detections, targets, num_classes = scored_scenes(*SCENARIOS[name])
+        for cls in range(num_classes):
+            dets = [[(d.confidence, d.box) for d in image if d.class_id == cls]
+                    for image in detections]
+            gts = [t.boxes[t.classes == cls] for t in targets]
+            np.testing.assert_array_equal(batched_class_ap(dets, gts),
+                                          class_ap_per_image(dets, gts))
+
+    def test_ragged_edge_cases_equal_per_image(self):
+        gt_a = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.7, 0.1, 0.1]])
+        gt_b = np.array([[0.5, 0.5, 0.4, 0.4]])
+        hit_a = (0.8, gt_a[0] + [0.01, 0, 0, 0])
+        near_b = (0.8, gt_b[0] + [0, 0.05, 0, 0])
+        cases = {
+            # ground truth in some images only; images without detections
+            "gt_in_some_images": ([[hit_a, (0.9, np.array([0.1, 0.9, 0.1, 0.1]))], [],
+                                   [near_b], [], [(0.8, gt_a[1])]],
+                                  [gt_a, np.zeros((0, 4)), np.zeros((0, 4)), gt_b, gt_a]),
+            # n_max is 0: ground truth and no detection anywhere
+            "no_detections": ([[], [], []], [gt_a, np.zeros((0, 4)), gt_b]),
+            # m_max is 0: detections and no ground truth, every AP undefined
+            "no_ground_truth": ([[hit_a], [near_b]], [np.zeros((0, 4))] * 2),
+            "no_images": ([], []),
+        }
+        for name, (dets, gts) in cases.items():
+            # at threshold 0 any IoU qualifies, so a padded column would too
+            for thresholds in (IOU_THRESHOLDS, [0.0, 0.5]):
+                np.testing.assert_array_equal(batched_class_ap(dets, gts, thresholds),
+                                              class_ap_per_image(dets, gts, thresholds),
+                                              err_msg=name)
+        assert (batched_class_ap(*cases["no_detections"])[[0, 3]] == 0.0).all()
+        assert np.isnan(batched_class_ap(*cases["no_ground_truth"])).all()
+
+    def test_image_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 detection lists for 1 images"):
+            evaluate_detections([[], []], [TargetSet.empty()], 3)
+        with pytest.raises(ValueError, match="1 detection lists for 2 images"):
+            average_precision([[]], [np.zeros((0, 4))] * 2, 0.5)
 
 
 def greedy_match_reference(ious, thresh, ignored):
@@ -290,6 +385,27 @@ class TestGreedyMatch:
             assert took.shape == (len(IOU_THRESHOLDS), n)
             for t, thresh in enumerate(IOU_THRESHOLDS):
                 assert took[t].tolist() == greedy_match_reference(ious, thresh, masks[t])
+
+    def test_leading_axis_equals_per_image(self):
+        rng = np.random.default_rng(8)
+        levels = np.concatenate([[0.0, 0.3], IOU_THRESHOLDS, [0.97, 1.0]])
+        for case in range(60):
+            images = int(rng.integers(1, 6))
+            n, m = rng.integers(0, 7, (images, 2)).T
+            n_max, m_max = n.max(), m.max()
+            # ragged images padded with IoU -1, the padding _class_ap uses
+            ious = np.full((images, n_max, m_max), -1.0)
+            masks = rng.random((images, len(IOU_THRESHOLDS), m_max)) < 0.3
+            for i in range(images):
+                ious[i, :n[i], :m[i]] = rng.choice(levels, (n[i], m[i]))
+            ignored = masks if case % 2 else masks[:, 0]
+            took = greedy_match(ious, IOU_THRESHOLDS, ignored if case % 2 else ignored[:, None])
+            assert took.shape == (images, len(IOU_THRESHOLDS), n_max)
+            for i in range(images):
+                want = greedy_match(ious[i, :n[i], :m[i]], IOU_THRESHOLDS,
+                                    ignored[i, ..., :m[i]])
+                np.testing.assert_array_equal(took[i, :, :n[i]], want)
+                assert (took[i, :, n[i]:] == -1).all()
 
     def test_scalar_threshold(self):
         ious = np.array([[0.6, 0.9], [0.9, 0.2]])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -193,6 +194,60 @@ class TestTrainConfig:
             LossWeights(**{name: value})
         with pytest.raises(ValueError, match=f"^loss weight {name} must be a finite real"):
             TrainConfig.from_dict({"loss": {name: value}})
+
+    @pytest.mark.parametrize("name, value", [
+        ("temperature", 0), ("temperature", -1.0), ("temperature", math.nan),
+        ("temperature", math.inf), ("temperature", "10000"), ("temperature", True),
+        ("enc_layers", -1), ("dec_layers", 0), ("ffn_width", "256"), ("ffn_width", 0),
+        ("d", 8.0), ("num_heads", True), ("num_queries", 0), ("num_classes", "2"),
+        ("image_side", 16.0), ("backbone_channels[1]", 0), ("backbone_channels[0]", "4"),
+        ("backbone_channels", 4), ("skip_first_self_attention", "false"),
+        ("skip_first_self_attention", 0)])
+    def test_model_fields_checked(self, name, value):
+        kw = {name: value}
+        if name.startswith("backbone_channels["):
+            channels = list(TINY_MODEL["backbone_channels"])
+            channels[int(name[-2])] = value
+            kw = {"backbone_channels": channels}
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
+            ModelConfig(**{**TINY_MODEL, **kw})
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
+            TrainConfig.from_dict({"model": kw})
+
+    def test_model_field_edges_accepted(self):
+        # an empty encoder is the identity; an int temperature is a real
+        cfg = ModelConfig(**{**TINY_MODEL, "enc_layers": 0, "dec_layers": 1,
+                             "temperature": 100, "skip_first_self_attention": True})
+        detections = Detector(cfg, np.random.default_rng(0)).predict(np.zeros((3, 16, 16)))
+        assert len(detections) == cfg.num_queries
+
+    @pytest.mark.parametrize("name, value", [
+        ("color_jitter", -1), ("color_jitter", math.nan), ("color_jitter", math.inf),
+        ("color_jitter", "0.1"), ("min_visible", math.nan), ("min_visible", 2.0),
+        ("min_visible", -0.1), ("min_visible", True), ("size_range", [10]),
+        ("size_range", [10, 12, 14]), ("size_range", [10.0, 12]), ("size_range", 10),
+        ("size_range", [True, 12]), ("image_side", "64"), ("image_side", 64.0),
+        ("num_classes", True), ("min_objects", 1.0), ("max_objects", "5"),
+        ("stuff_classes", 1.5), ("include_stuff_boxes", "false"), ("include_stuff_boxes", 1)])
+    def test_data_fields_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            SyntheticConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            TrainConfig.from_dict({"data": {name: value}})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_aux_loss_must_be_bool(self, value):
+        with pytest.raises(ValueError, match="^aux_loss must be a bool"):
+            TrainConfig.from_dict({"aux_loss": value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("epochs", -3), ("epochs", 2.0), ("batch_size", 0),
+        ("batch_size", "16"), ("hidden", 0), ("hidden", True), ("lr", 0.0), ("lr", "1e-4"),
+        ("lr", math.nan), ("clip_norm", -0.1), ("weight_decay", -1e-4),
+        ("weight_decay", math.inf)])
+    def test_mask_train_config_checked(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            training.MaskTrainConfig(**{name: value})
 
     def test_json_roundtrip(self, tmp_path):
         # a field changed at every level, the tuples included
