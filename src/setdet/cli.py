@@ -1,5 +1,6 @@
-"""Command-line interface: training, evaluation, the ablation commands,
-the instance-saturation sweep, and the panoptic pipeline.
+"""Command-line interface: training, evaluation, the per-decoder-layer
+ablation, the instance-saturation sweep, and the panoptic pipeline.  Each
+command parses, does file IO and prints; the work is in ``training``.
 """
 
 from __future__ import annotations
@@ -13,23 +14,16 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
-from .boxes import iou_matrix
-from .data import (
-    VAL_NAMESPACE,
-    build_dataset,
-    grid_instances_scene,
-    load_annotations,
-    load_image_raw,
-)
+from .data import VAL_NAMESPACE, build_dataset, load_annotations, load_image_raw
 from .detector import Detector, load_checkpoint, save_checkpoint
-from .evaluation import greedy_match, panoptic_quality
-from .segmentation import downsample_map, panoptic_from_sample, panoptic_merge
 from .training import (
     MaskTrainConfig,
     TrainConfig,
+    evaluate_layers,
     evaluate_model,
+    evaluate_panoptic,
     load_mask_head,
+    missed_fraction,
     train,
     train_mask_head,
 )
@@ -62,6 +56,14 @@ def _val_samples(cfg: TrainConfig, data_path: str | None):
     return [ref.materialize(cfg.data) for ref in refs]
 
 
+def _write_csv(path: str, rows: list[dict]):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {path}")
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     model = dataclasses.replace(
@@ -92,66 +94,19 @@ def cmd_eval(args) -> int:
 def cmd_ablate_layers(args) -> int:
     cfg = _load_config(args.config)
     model = _load_model(cfg, args.ckpt)
-    samples = _val_samples(cfg, args.data)
-    rows = []
-    for layer in range(cfg.model.dec_layers):
-        plain = evaluate_model(model, samples, use_layer=layer,
-                               override_empty=False)
-        with_nms = evaluate_model(model, samples, use_layer=layer,
-                                  override_empty=False, nms_thresh=args.nms)
-        rows.append({"layer": layer + 1, "AP": plain.ap, "AP50": plain.ap50,
-                     "AP_nms": with_nms.ap, "AP50_nms": with_nms.ap50})
-        print(f"layer {layer + 1}: AP={plain.ap:.4f} AP50={plain.ap50:.4f} "
-              f"AP+nms={with_nms.ap:.4f} AP50+nms={with_nms.ap50:.4f}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["layer", "AP", "AP50",
-                                                "AP_nms", "AP50_nms"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.out}")
+    rows = evaluate_layers(model, _val_samples(cfg, args.data), nms_thresh=args.nms)
+    for row in rows:
+        print(f"layer {row['layer']}: AP={row['AP']:.4f} AP50={row['AP50']:.4f} "
+              f"AP+nms={row['AP_nms']:.4f} AP50+nms={row['AP50_nms']:.4f}")
+    _write_csv(args.out, rows)
     return 0
-
-
-def cmd_ablate_loss(args) -> int:
-    cfg = _load_config(args.config)
-    if args.drop:
-        cfg = dataclasses.replace(
-            cfg, loss=dataclasses.replace(cfg.loss, **{args.drop: 0.0}))
-    out = args.out or f"runs/loss_drop_{args.drop or 'none'}"
-    result = train(cfg, out, log=print)
-    print(f"drop={args.drop} last-10-median AP={result.last10_median('val_ap'):.4f} "
-          f"AP50={result.last10_median('val_ap50'):.4f}")
-    return 0
-
-
-def missed_fraction(model: Detector, class_id: int, count: int, repeats: int,
-                    seed: int, side: int, object_size: float | None,
-                    override_empty: bool = True):
-    """Fraction of grid instances the model fails to find, per repeat."""
-    fractions = []
-    for rep in range(repeats):
-        rng = np.random.default_rng([seed, 5, count, rep])
-        sample = grid_instances_scene(class_id, count, rng, side=side,
-                                      object_size=object_size,
-                                      num_classes=model.config.num_classes)
-        if count == 0:
-            fractions.append(0.0)
-            continue
-        dets = model.predict(sample.image, override_empty=override_empty)
-        dets = sorted((d for d in dets if d.class_id == class_id),
-                      key=lambda d: -d.confidence)
-        boxes = np.array([d.box for d in dets]).reshape(-1, 4)
-        found = int((greedy_match(iou_matrix(boxes, sample.targets.boxes), 0.5) >= 0).sum())
-        fractions.append(1.0 - found / count)
-    return np.array(fractions)
 
 
 def cmd_instances_sweep(args) -> int:
     cfg = _load_config(args.config)
     model = _load_model(cfg, args.ckpt)
-    counts = [int(c) for c in args.counts.split(",")]
     rows = []
-    for count in counts:
+    for count in args.counts:
         fractions = missed_fraction(model, args.class_id, count, args.repeats,
                                     cfg.seed, args.side, args.object_size)
         rows.append({"count": count, "missed_mean": float(fractions.mean()),
@@ -159,12 +114,7 @@ def cmd_instances_sweep(args) -> int:
         print(f"count {count:3d}: missed {fractions.mean():.3f} "
               f"+/- {fractions.std():.3f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["count", "missed_mean",
-                                                    "missed_std"])
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {args.out}")
+        _write_csv(args.out, rows)
     return 0
 
 
@@ -182,31 +132,9 @@ def cmd_eval_panoptic(args) -> int:
     cfg = _load_config(args.config)
     model = _load_model(cfg, args.ckpt)
     head = load_mask_head(cfg.model, args.mask_ckpt)
-    samples = _val_samples(cfg, args.data)
-    side = model.config.feature_side
-    factor = model.config.stride // 2
-    num_things = cfg.data.num_classes
-    totals = []
-    for sample in samples:
-        with T.no_grad():
-            out, memory, embs = model.forward_with_internals(sample.image[None])
-            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
-        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]  # no no-object
-        confidences = probs_all.max(axis=-1)
-        classes = probs_all.argmax(axis=-1)
-        pred = panoptic_merge(mask_out.logits.data, confidences, classes,
-                              thing_classes=num_things,
-                              conf_thresh=args.conf_thresh)
-        gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
-        totals.append(panoptic_quality(pred, gt))
-    result = {
-        "PQ": float(np.nanmean([t.pq for t in totals])),
-        "SQ": float(np.nanmean([t.sq for t in totals])),
-        "RQ": float(np.nanmean([t.rq for t in totals])),
-        "PQ_th": float(np.nanmean([t.pq_things for t in totals])),
-        "PQ_st": float(np.nanmean([t.pq_stuff for t in totals])),
-        "images": len(samples),
-    }
+    result = evaluate_panoptic(model, head, _val_samples(cfg, args.data),
+                               num_things=cfg.data.num_classes,
+                               conf_thresh=args.conf_thresh)
     print(json.dumps(result, indent=1))
     if args.report:
         with open(args.report, "w") as fh:
@@ -228,6 +156,10 @@ def cmd_predict(args) -> int:
             fh.write(text)
     print(text)
     return 0
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(c) for c in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,17 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nms", type=float, default=0.5)
     p.set_defaults(func=cmd_ablate_layers)
 
-    p = sub.add_parser("ablate-loss", help="train with a box-loss term removed")
-    p.add_argument("--drop", choices=["l1", "giou"])
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate_loss)
-
     p = sub.add_parser("instances-sweep",
                        help="missed-instance fractions on the 10x10 grid")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--class-id", type=int, default=0, dest="class_id")
-    p.add_argument("--counts", default="5,10,20,50,100")
+    p.add_argument("--counts", type=comma_separated_ints, default="5,10,20,50,100")
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--side", type=int, default=120)
     p.add_argument("--object-size", type=float)

@@ -242,6 +242,9 @@ def grid_instances_scene(class_id: int, count: int, rng: np.random.Generator,
     """
     if not 0 <= count <= 100:
         raise ValueError(f"count must be 0..100, got {count}")
+    limit = min(num_classes, len(_THING_COLORS))     # only thing classes have a colour
+    if not 0 <= class_id < limit:
+        raise ValueError(f"class_id must be in [0, {limit}), got {class_id}")
     if side % 10 != 0:
         raise ValueError(f"grid side must be divisible by 10, got {side}")
     cell = side // 10

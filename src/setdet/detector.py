@@ -102,15 +102,6 @@ class DetectionOutput:
 
     layers: list
 
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self):
-        return len(self.layers)
-
-    def layer(self, index: int) -> LayerPrediction:
-        return self.layers[index]
-
 
 @dataclass
 class Detection:
@@ -286,6 +277,9 @@ def postprocess(output: DetectionOutput, use_layer: int = -1,
     class at that class's (lower) probability.  Returns one list of
     Detection per image of the batch.
     """
+    count = len(output.layers)
+    if not -count <= use_layer < count:
+        raise ValueError(f"use_layer {use_layer} is out of range for {count} decoder layers")
     layer = output.layers[use_layer]
     probs = T.softmax(layer.class_logits.data)
     no_object = probs.shape[-1] - 1

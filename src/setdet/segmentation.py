@@ -19,6 +19,8 @@ from . import tensor as T
 from .layers import ConfigError, kaiming_uniform, xavier_uniform
 from .tensor import Parameter, Tensor
 
+MASK_CONV_WIDTH = 8               # channels of the first conv
+
 
 @dataclass(frozen=True)
 class SegmentInfo:
@@ -52,8 +54,7 @@ class MaskOutput:
 class MaskHead:
     """Multi-head attention heatmaps -> conv stack -> per-slot logits."""
 
-    def __init__(self, d: int, num_heads: int, rng, hidden: int = 8,
-                 name: str = "mask_head"):
+    def __init__(self, d: int, num_heads: int, rng, name: str = "mask_head"):
         if d % num_heads != 0:
             raise ConfigError(f"width {d} not divisible by {num_heads} heads")
         self.d = d
@@ -68,6 +69,7 @@ class MaskHead:
                                 Tensor(np.zeros((num_heads, self.d_head, 1))))
         self.k_bias = Parameter(f"{name}.k_proj.bias",
                                 Tensor(np.zeros((num_heads, self.d_head, 1))))
+        hidden = MASK_CONV_WIDTH
         self.conv1_w = Parameter(f"{name}.conv1.weight",
                                  Tensor(kaiming_uniform(rng, (hidden, num_heads, 3, 3),
                                                         num_heads * 9)))
@@ -120,6 +122,8 @@ def panoptic_merge(mask_logits: np.ndarray, confidences: np.ndarray,
     deleted and their pixels move to the next-best surviving slot (void
     if none remains).
     """
+    if type(conf_thresh) not in (int, float) or not 0 <= conf_thresh <= 1:
+        raise ValueError(f"conf_thresh must be a real in [0, 1], got {conf_thresh!r}")
     mask_logits = np.asarray(mask_logits, dtype=np.float64)
     confidences = np.asarray(confidences, dtype=np.float64)
     classes = np.asarray(classes, dtype=np.int64)

@@ -1,5 +1,5 @@
 """Optimization: AdamW with decoupled weight decay, global-norm gradient
-clipping, and the seeded training loop.
+clipping, the seeded training loop, and the evaluations the CLI prints.
 
 Every stochastic choice in a run is a pure function of (seed, epoch,
 step): dataset content, shuffle order, and dropout masks.  Together with
@@ -19,15 +19,19 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .boxes import iou_matrix
 from .data import (
     TRAIN_NAMESPACE,
     VAL_NAMESPACE,
     SyntheticConfig,
     build_dataset,
+    grid_instances_scene,
 )
 from .detector import (
     CheckpointError,
+    DetectionOutput,
     Detector,
+    LayerPrediction,
     ModelConfig,
     check_arrays,
     load_checkpoint,
@@ -36,9 +40,9 @@ from .detector import (
     save_checkpoint,
     write_arrays,
 )
-from .evaluation import EvalReport, evaluate_detections, nms as nms_filter
+from .evaluation import EvalReport, evaluate_detections, greedy_match, nms, panoptic_quality
 from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
-from .segmentation import MaskHead
+from .segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
 from .tensor import DimensionError, Parameter
 
 # Images per forward in predict_batch.  On two threads, chunks of 50 raised
@@ -239,17 +243,83 @@ class TrainResult:
 def evaluate_model(model: Detector, samples, use_layer: int = -1,
                    override_empty: bool = True,
                    nms_thresh: float | None = None) -> EvalReport:
-    """Run inference over samples and score detections against targets."""
-    detections = predict_batch(model, samples, use_layer=use_layer,
-                               override_empty=override_empty,
-                               nms_thresh=nms_thresh)
+    """Score inference over samples against targets, after NMS if ``nms_thresh``."""
+    detections = predict_batch(model, samples, use_layer, override_empty)
+    if nms_thresh is not None:
+        detections = [nms(dets, nms_thresh) for dets in detections]
+    return evaluate_detections(detections, [s.targets for s in samples],
+                               model.config.num_classes)
+
+
+def evaluate_layers(model: Detector, samples, nms_thresh: float) -> list[dict]:
+    """AP and AP50 of each decoder layer (1-based), without and with NMS, from
+    one forward (paper Fig. 4); no-object slots are dropped, not overridden."""
+    output = forward_batch(model, samples)
     targets = [s.targets for s in samples]
-    return evaluate_detections(detections, targets, model.config.num_classes)
+    rows = []
+    for layer in range(len(output.layers)):
+        detections = postprocess(output, use_layer=layer, override_empty=False)
+        plain = evaluate_detections(detections, targets, model.config.num_classes)
+        with_nms = evaluate_detections([nms(dets, nms_thresh) for dets in detections],
+                                       targets, model.config.num_classes)
+        rows.append({"layer": layer + 1, "AP": plain.ap, "AP50": plain.ap50,
+                     "AP_nms": with_nms.ap, "AP50_nms": with_nms.ap50})
+    return rows
 
 
-def predict_batch(model: Detector, samples, use_layer: int = -1,
-                  override_empty: bool = True, nms_thresh: float | None = None):
-    """Detections for each sample, in order, from batched no_grad forwards.
+def missed_fraction(model: Detector, class_id: int, count: int, repeats: int,
+                    seed: int, side: int, object_size: float | None):
+    """Fraction of grid instances the model fails to find, per repeat."""
+    if type(repeats) is not int or repeats < 1:
+        raise ValueError(f"repeats must be an int >= 1, got {repeats!r}")
+    fractions = []
+    for rep in range(repeats):
+        rng = np.random.default_rng([seed, 5, count, rep])
+        sample = grid_instances_scene(class_id, count, rng, side=side,
+                                      object_size=object_size,
+                                      num_classes=model.config.num_classes)
+        if count == 0:
+            fractions.append(0.0)
+            continue
+        dets = model.predict(sample.image)
+        dets = sorted((d for d in dets if d.class_id == class_id),
+                      key=lambda d: -d.confidence)
+        boxes = np.array([d.box for d in dets]).reshape(-1, 4)
+        found = int((greedy_match(iou_matrix(boxes, sample.targets.boxes), 0.5) >= 0).sum())
+        fractions.append(1.0 - found / count)
+    return np.array(fractions)
+
+
+def evaluate_panoptic(model: Detector, head: MaskHead, samples, num_things: int,
+                      conf_thresh: float = 0.85) -> dict:
+    """Mean PQ, SQ, RQ, PQ_th and PQ_st over images of detector + mask head +
+    merge; classes below ``num_things`` are things."""
+    side = model.config.feature_side
+    factor = model.config.stride // 2
+    totals = []
+    for sample in samples:
+        with T.no_grad():
+            out, memory, embs = model.forward_with_internals(sample.image[None])
+            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
+        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]  # no no-object
+        pred = panoptic_merge(mask_out.logits.data, probs_all.max(axis=-1),
+                              probs_all.argmax(axis=-1), thing_classes=num_things,
+                              conf_thresh=conf_thresh)
+        gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
+        totals.append(panoptic_quality(pred, gt))
+    fields = {"PQ": "pq", "SQ": "sq", "RQ": "rq", "PQ_th": "pq_things", "PQ_st": "pq_stuff"}
+    return {**{key: float(np.nanmean([getattr(t, name) for t in totals]))
+               for key, name in fields.items()}, "images": len(samples)}
+
+
+def predict_batch(model: Detector, samples, use_layer: int = -1, override_empty: bool = True):
+    """Detections for each sample, in order: ``postprocess(forward_batch(...))``."""
+    return postprocess(forward_batch(model, samples), use_layer, override_empty)
+
+
+def forward_batch(model: Detector, samples) -> DetectionOutput:
+    """Every decoder layer's predictions for all samples, from batched
+    no_grad forwards; the arrays are [B, ...] over the samples, in order.
 
     The samples are cut into chunks of ``PREDICT_CHUNK`` images, and the
     chunks run on one thread per usable CPU (a single chunk runs in the
@@ -270,21 +340,25 @@ def predict_batch(model: Detector, samples, use_layer: int = -1,
     def run(chunk):
         images = np.stack([s.image for s in chunk])
         with T.no_grad():
-            out = model.forward(images)
-        dets = postprocess(out, use_layer=use_layer, override_empty=override_empty)
-        if nms_thresh is not None:
-            dets = [nms_filter(d, nms_thresh) for d in dets]
-        return dets
+            return model.forward(images)
 
     chunks = [samples[lo:lo + PREDICT_CHUNK]
               for lo in range(0, len(samples), PREDICT_CHUNK)]
     workers = min(len(chunks), _usable_cpus())
     if workers <= 1:
-        results = [run(chunk) for chunk in chunks]
+        outputs = [run(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, chunks))
-    return [dets for result in results for dets in result]
+            outputs = list(pool.map(run, chunks))
+    cfg = model.config
+    # the empty leading arrays give zero samples the right shapes
+    logits = np.zeros((0, cfg.num_queries, cfg.num_classes + 1))
+    boxes = np.zeros((0, cfg.num_queries, 4))
+    return DetectionOutput([
+        LayerPrediction(
+            T.Tensor(np.concatenate([logits, *(o.layers[i].class_logits.data for o in outputs)])),
+            T.Tensor(np.concatenate([boxes, *(o.layers[i].boxes.data for o in outputs)])))
+        for i in range(cfg.dec_layers)])
 
 
 def _usable_cpus() -> int:
@@ -431,11 +505,9 @@ class MaskTrainConfig:
     weight_decay: float = 1e-4
     clip_norm: float = 0.1
     batch_size: int = 16
-    hidden: int = 8
 
     def __post_init__(self):
-        _check_ints(self, ("epochs", "batch_size", "hidden"),
-                    at_least_one=("epochs", "batch_size", "hidden"))
+        _check_ints(self, ("epochs", "batch_size"), at_least_one=("epochs", "batch_size"))
         _check_reals(self, ("lr", "weight_decay", "clip_norm"))
 
 
@@ -449,7 +521,7 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
     """
     mask_cfg = mask_cfg or MaskTrainConfig()
     head = MaskHead(model.config.d, model.config.num_heads,
-                    np.random.default_rng(cfg.seed + 17), hidden=mask_cfg.hidden)
+                    np.random.default_rng(cfg.seed + 17))
     optimizer = AdamW([(head.parameters(), mask_cfg.lr)],
                       weight_decay=mask_cfg.weight_decay)
     train_set = build_dataset(cfg.data, cfg.train_size, TRAIN_NAMESPACE, cfg.seed)
@@ -510,9 +582,7 @@ def _downsample_mask(mask: np.ndarray, factor: int) -> np.ndarray:
     return (blocks > 0.5).astype(np.float64)
 
 
-def load_mask_head(model_config: ModelConfig, path: str,
-                   hidden: int = 8) -> MaskHead:
-    head = MaskHead(model_config.d, model_config.num_heads,
-                    np.random.default_rng(0), hidden=hidden)
+def load_mask_head(model_config: ModelConfig, path: str) -> MaskHead:
+    head = MaskHead(model_config.d, model_config.num_heads, np.random.default_rng(0))
     load_checkpoint(head, path)
     return head

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setdet.boxes import iou_matrix
-from setdet.cli import _load_model, main, missed_fraction
+from setdet.cli import _load_model, main
 from setdet.data import (
     SyntheticConfig,
     build_dataset,
@@ -14,7 +14,7 @@ from setdet.data import (
     save_image_raw,
 )
 from setdet.detector import Detection, ModelConfig
-from setdet.training import TrainConfig
+from setdet.training import TrainConfig, missed_fraction
 
 TINY = {
     "epochs": 2, "lr_drop_epoch": 1, "batch_size": 4, "train_size": 8,
@@ -245,8 +245,60 @@ def test_posenc_flag_controls_model(trained, tmp_path):
 
 
 def test_ablate_loss_drops_term(trained, tmp_path):
+    # the box-loss ablation is train with one loss weight set to 0
+    cfg = json.load(open(trained["cfg_path"]))
+    cfg["loss"]["l1"] = 0
+    path = str(tmp_path / "no_l1.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
     out = str(tmp_path / "loss_run")
-    code = main(["ablate-loss", "--drop", "l1", "--config", trained["cfg_path"],
-                 "--out", out])
-    assert code == 0
+    assert main(["train", "--config", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "checkpoint_final.sdtr"))
+    header, *rows = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()
+    column = header.split(",").index("l1_loss")
+    assert len(rows) == 2
+    assert all(float(row.split(",")[column]) == 0.0 for row in rows)
+
+
+def test_ablate_loss_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ablate-loss", "--drop", "l1"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'ablate-loss'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, layer", [("eval", "5"), ("predict", "-3"),
+                                            ("predict", "2")])
+def test_layer_index_checked(trained, tmp_path, command, layer):
+    image = str(tmp_path / "img.simg")
+    save_image_raw(image, build_dataset(trained["cfg"].data, 1, 1, 0)[0].image)
+    extra = {"eval": ["--report", str(tmp_path / "r.json")], "predict": ["--image", image]}
+    with pytest.raises(ValueError, match=f"use_layer {layer} is out of range for 2 "
+                                         f"decoder layers"):
+        main([command, "--ckpt", trained["ckpt"], "--config", trained["cfg_path"],
+              "--layer", layer, *extra[command]])
+
+
+@pytest.mark.parametrize("command, nms", [("eval", "-1"), ("eval", "nan"),
+                                          ("ablate-layers", "2")])
+def test_nms_threshold_checked(trained, tmp_path, command, nms):
+    out = str(tmp_path / "out")
+    extra = {"eval": ["--report", out], "ablate-layers": ["--out", out]}
+    with pytest.raises(ValueError, match="iou_thresh must be a real in"):
+        main([command, "--ckpt", trained["ckpt"], "--config", trained["cfg_path"],
+              "--nms", nms, *extra[command]])
+    assert not os.path.exists(out)
+
+
+def test_instances_sweep_inputs_checked(trained, capsys):
+    base = ["instances-sweep", "--ckpt", trained["ckpt"], "--config", trained["cfg_path"],
+            "--side", "40", "--object-size", "3"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(base + ["--counts", "2,abc"])
+    assert exit_info.value.code == 2
+    assert "argument --counts: invalid" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="repeats must be an int >= 1, got 0"):
+        main(base + ["--counts", "2", "--repeats", "0"])
+    for class_id in ("-1", "2", "7"):
+        with pytest.raises(ValueError, match=rf"class_id must be in \[0, 2\), got {class_id}"):
+            main(base + ["--counts", "2", "--repeats", "1", "--class-id", class_id])

@@ -109,6 +109,14 @@ class TestGridScene:
         with pytest.raises(ValueError):
             grid_instances_scene(0, 101, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("class_id, num_classes, limit", [
+        (-1, 3, 3), (3, 3, 3), (2, 2, 2), (7, 3, 3), (6, 8, 6)])
+    def test_class_id_validated(self, class_id, num_classes, limit):
+        with pytest.raises(ValueError, match=rf"^class_id must be in \[0, {limit}\), "
+                                             f"got {class_id}"):
+            grid_instances_scene(class_id, 5, np.random.default_rng(0),
+                                 num_classes=num_classes)
+
     def test_side_divisibility_validated(self):
         with pytest.raises(ValueError):
             grid_instances_scene(0, 5, np.random.default_rng(0), side=96)

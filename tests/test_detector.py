@@ -75,15 +75,15 @@ class TestForward:
     def test_boxes_sigmoid_bounded(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(2).random((1, 3, 16, 16)))
-        for layer in out:
+        for layer in out.layers:
             assert (layer.boxes.data >= 0).all() and (layer.boxes.data <= 1).all()
 
     def test_layer_and_slot_counts(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(3).random((1, 3, 16, 16)))
-        assert len(out) == 2
-        assert out.layer(0).class_logits.shape == (1, 3, 3)   # B x N x (K+1)
-        assert out.layer(0).boxes.shape == (1, 3, 4)
+        assert len(out.layers) == 2
+        assert out.layers[0].class_logits.shape == (1, 3, 3)   # B x N x (K+1)
+        assert out.layers[0].boxes.shape == (1, 3, 4)
 
     def test_eval_mode_deterministic(self):
         model = tiny_model()
@@ -91,13 +91,13 @@ class TestForward:
         with T.no_grad():
             a = model.forward(image)
             b = model.forward(image)
-        assert (a.layer(-1).class_logits.data == b.layer(-1).class_logits.data).all()
-        assert (a.layer(-1).boxes.data == b.layer(-1).boxes.data).all()
+        assert (a.layers[-1].class_logits.data == b.layers[-1].class_logits.data).all()
+        assert (a.layers[-1].boxes.data == b.layers[-1].boxes.data).all()
 
     def test_class_probabilities_sum_to_one(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(5).random((1, 3, 16, 16)))
-        logits = out.layer(-1).class_logits.data
+        logits = out.layers[-1].class_logits.data
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
@@ -110,7 +110,7 @@ class TestForward:
             batched = model.forward(images)
             singles = [model.forward(images[b:b + 1]) for b in range(2)]
         for b, single in enumerate(singles):
-            for got, want in zip(batched, single):
+            for got, want in zip(batched.layers, single.layers):
                 np.testing.assert_allclose(got.class_logits.data[b],
                                            want.class_logits.data[0], atol=1e-12)
                 np.testing.assert_allclose(got.boxes.data[b], want.boxes.data[0],
@@ -193,6 +193,11 @@ class TestPostprocess:
         out = DetectionOutput([l0, l1])
         assert len(postprocess(out, use_layer=0, override_empty=False)[0]) == 1
         assert postprocess(out, use_layer=1, override_empty=False) == [[]]
+        assert len(postprocess(out, use_layer=-2, override_empty=False)[0]) == 1
+        for index in (2, -3, 5):
+            with pytest.raises(ValueError, match=f"^use_layer {index} is out of range "
+                                                 f"for 2 decoder layers"):
+                postprocess(out, use_layer=index)
 
 
 class TestCheckpoint:

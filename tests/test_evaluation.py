@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,20 @@ class TestNms:
             thresh = float(rng.choice([0.25, 0.5, 0.75]))
             assert [id(d) for d in nms(dets, thresh)] == \
                 [id(d) for d in nms_reference(dets, thresh)]
+
+    @pytest.mark.parametrize("thresh", [-1, -0.1, 1.5, float("nan"), float("inf"),
+                                        True, "0.5", None])
+    def test_threshold_must_be_a_real_in_unit_interval(self, thresh):
+        box = np.array([0.5, 0.5, 0.2, 0.2])
+        for dets in ([], [Detection(0, 0.9, box), Detection(0, 0.8, box)]):
+            with pytest.raises(ValueError, match=f"^iou_thresh must be a real in "
+                                                 rf"\[0, 1\], got {re.escape(repr(thresh))}"):
+                nms(dets, thresh)
+
+    def test_threshold_edges_accepted(self):
+        box = np.array([0.5, 0.5, 0.2, 0.2])
+        dets = [Detection(0, 0.9, box), Detection(0, 0.8, box)]
+        assert len(nms(dets, 0)) == 1 and len(nms(dets, 1.0)) == 2
 
 
 def two_band_map(split, class_top=0, class_bottom=1, thing_top=True):

@@ -161,6 +161,14 @@ class TestPanopticMerge:
                                               re_map.labels == new_sid)
 
 
+    @pytest.mark.parametrize("thresh", [-0.5, 1.01, float("nan"), False, "0.85"])
+    def test_conf_thresh_must_be_a_real_in_unit_interval(self, thresh):
+        m = np.ones((4, 4), dtype=bool)
+        with pytest.raises(ValueError, match=r"^conf_thresh must be a real in \[0, 1\]"):
+            panoptic_merge(uniform_logits([m]), [0.9], [0], thing_classes=1,
+                           conf_thresh=thresh)
+
+
 class TestPanopticGroundTruth:
     def test_from_sample_partition(self):
         cfg = SyntheticConfig(min_objects=2, max_objects=4, stuff_classes=2)

@@ -20,9 +20,10 @@ from setdet.detector import (
     postprocess,
     save_checkpoint,
 )
-from setdet.evaluation import nms
+from setdet.evaluation import evaluate_detections, nms, panoptic_quality
 from setdet.layers import ConfigError
-from setdet.matching import LossWeights, total_loss
+from setdet.matching import LossWeights, TargetSet, total_loss
+from setdet.segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
 from setdet.tensor import DimensionError, Parameter, Tensor
 from setdet.training import (
     PREDICT_CHUNK,
@@ -30,7 +31,9 @@ from setdet.training import (
     TrainConfig,
     TrainingDivergedError,
     clip_grad_norm,
+    evaluate_layers,
     evaluate_model,
+    evaluate_panoptic,
     predict_batch,
     train,
 )
@@ -242,7 +245,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("epochs", 0), ("epochs", -3), ("epochs", 2.0), ("batch_size", 0),
-        ("batch_size", "16"), ("hidden", 0), ("hidden", True), ("lr", 0.0), ("lr", "1e-4"),
+        ("batch_size", "16"), ("lr", 0.0), ("lr", "1e-4"),
         ("lr", math.nan), ("clip_norm", -0.1), ("weight_decay", -1e-4),
         ("weight_decay", math.inf)])
     def test_mask_train_config_checked(self, name, value):
@@ -474,7 +477,7 @@ class TestPredictBatch:
         assert predict_batch(model, []) == []
 
     def test_nms_matches_serial(self, model, samples, cpus):
-        assert_same_detections(predict_batch(model, samples, nms_thresh=0.3),
+        assert_same_detections([nms(dets, 0.3) for dets in predict_batch(model, samples)],
                                serial_predict(model, samples, nms_thresh=0.3))
 
     def test_reruns_bitwise_equal(self, model, samples, cpus):
@@ -553,6 +556,101 @@ class TestPredictBatch:
         for got, want in zip(after, fresh):
             np.testing.assert_array_equal(got, want)
         assert sum(np.any(g != 0) for g in after) > len(after) // 2
+
+
+def evaluate_layers_reference(model, samples, nms_thresh):
+    """ablate-layers before one forward served every layer: a predict_batch
+    pass per decoder layer, with and without NMS."""
+    targets = [s.targets for s in samples]
+    rows = []
+    for layer in range(model.config.dec_layers):
+        plain = evaluate_detections(
+            predict_batch(model, samples, use_layer=layer, override_empty=False),
+            targets, model.config.num_classes)
+        with_nms = evaluate_detections(
+            [nms(dets, nms_thresh) for dets in
+             predict_batch(model, samples, use_layer=layer, override_empty=False)],
+            targets, model.config.num_classes)
+        rows.append({"layer": layer + 1, "AP": plain.ap, "AP50": plain.ap50,
+                     "AP_nms": with_nms.ap, "AP50_nms": with_nms.ap50})
+    return rows
+
+
+class TestEvaluateLayers:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Detector(ModelConfig(**{**TINY_MODEL, "dec_layers": 3}),
+                        np.random.default_rng(4))
+
+    @pytest.fixture(scope="class")
+    def samples(self, model):
+        """45 images whose targets are layer 1's own detections, so that no
+        layer scores AP 0."""
+        images = build_dataset(SyntheticConfig(**TINY_DATA), 45, VAL_NAMESPACE, 3)
+        own = predict_batch(model, images, use_layer=1)
+        return [Sample(image=s.image, targets=TargetSet.create(
+                    [d.class_id for d in dets], [d.box for d in dets]))
+                for s, dets in zip(images, own)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("nms_thresh", [0.1, 0.5])
+    def test_one_forward_per_chunk_equals_a_pass_per_layer(
+            self, model, samples, monkeypatch, cpus, nms_thresh):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        want = evaluate_layers_reference(model, samples, nms_thresh)
+        calls = []
+        forward = model.forward
+
+        def counting(images, *args, **kwargs):
+            calls.append(len(images))
+            return forward(images, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting)
+        got = evaluate_layers(model, samples, nms_thresh=nms_thresh)
+        assert sorted(calls) == [5, 20, 20]
+        assert _reports_identical(got, want)
+        assert [row["layer"] for row in got] == [1, 2, 3]
+        assert all(row[key] > 0 for row in got for key in ("AP", "AP50", "AP_nms", "AP50_nms"))
+
+
+def eval_panoptic_reference(model, head, samples, num_things, conf_thresh):
+    """The eval-panoptic command's loop as it stood in the CLI."""
+    side = model.config.feature_side
+    factor = model.config.stride // 2
+    totals = []
+    for sample in samples:
+        with T.no_grad():
+            out, memory, embs = model.forward_with_internals(sample.image[None])
+            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
+        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]
+        confidences = probs_all.max(axis=-1)
+        classes = probs_all.argmax(axis=-1)
+        pred = panoptic_merge(mask_out.logits.data, confidences, classes,
+                              thing_classes=num_things, conf_thresh=conf_thresh)
+        gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
+        totals.append(panoptic_quality(pred, gt))
+    return {
+        "PQ": float(np.nanmean([t.pq for t in totals])),
+        "SQ": float(np.nanmean([t.sq for t in totals])),
+        "RQ": float(np.nanmean([t.rq for t in totals])),
+        "PQ_th": float(np.nanmean([t.pq_things for t in totals])),
+        "PQ_st": float(np.nanmean([t.pq_stuff for t in totals])),
+        "images": len(samples),
+    }
+
+
+@pytest.mark.parametrize("conf_thresh", [0.0, 0.3])
+def test_evaluate_panoptic_equals_cli_loop(conf_thresh):
+    # stuff bands are classes too, so stuff is predicted and scored
+    model = Detector(ModelConfig(**{**TINY_MODEL, "num_classes": 3}),
+                     np.random.default_rng(3))
+    head = MaskHead(TINY_MODEL["d"], TINY_MODEL["num_heads"], np.random.default_rng(4))
+    samples = build_dataset(SyntheticConfig(**TINY_DATA, include_stuff_boxes=True), 12,
+                            VAL_NAMESPACE, 3)
+    got = evaluate_panoptic(model, head, samples, 2, conf_thresh=conf_thresh)
+    assert _reports_identical(got, eval_panoptic_reference(model, head, samples, 2,
+                                                           conf_thresh))
+    assert got["PQ"] > 0 and got["images"] == 12
 
 
 def _reports_identical(a, b) -> bool:
