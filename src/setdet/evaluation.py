@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import iou_matrix
+from .layers import check_unit_interval
 from .segmentation import PanopticMap
 
 IOU_THRESHOLDS = np.arange(0.50, 0.96, 0.05)
@@ -231,8 +232,7 @@ def evaluate_detections(detections, target_sets, num_classes: int) -> EvalReport
 def nms(detections: list, iou_thresh: float = 0.5) -> list:
     """Greedy class-wise suppression: keep the highest-confidence box,
     drop same-class boxes overlapping a kept one with IoU > threshold."""
-    if type(iou_thresh) not in (int, float) or not 0 <= iou_thresh <= 1:
-        raise ValueError(f"iou_thresh must be a real in [0, 1], got {iou_thresh!r}")
+    check_unit_interval("iou_thresh", iou_thresh)
     if not detections:
         return []
     boxes = np.stack([d.box for d in detections])

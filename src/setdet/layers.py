@@ -21,6 +21,12 @@ class ConfigError(ValueError):
     """Inconsistent model configuration."""
 
 
+def check_unit_interval(name: str, value):
+    """Require a non-bool int or float in [0, 1] (a threshold), else ValueError."""
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a real in [0, 1], got {value!r}")
+
+
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, shape)

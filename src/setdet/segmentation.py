@@ -1,11 +1,13 @@
 """Mask head over decoder slots and the unified panoptic merge.
 
-Each slot embedding attends over the encoder memory, producing one
-heatmap per attention head; a small conv + bilinear-upsample stack turns
-the stacked heatmaps into per-slot mask logits at twice the feature
-resolution (stride 4 for the default stride-8 backbone).  Merging is a
-per-pixel argmax over confident slots, followed by collapsing stuff
-classes and removing tiny segments.
+The head takes a batch, as the detector does: the final decoder
+embeddings [B,d,N] and the encoder memory [B,d,HW].  Each slot embedding
+attends over its image's memory, producing one heatmap per attention
+head; a small conv + bilinear-upsample stack turns the stacked heatmaps
+into per-slot mask logits at twice the feature resolution (stride 4 for
+the default stride-8 backbone).  Merging works on one image: a per-pixel
+argmax over confident slots, followed by collapsing stuff classes and
+removing tiny segments.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import ConfigError, kaiming_uniform, xavier_uniform
+from .layers import ConfigError, check_unit_interval, kaiming_uniform, xavier_uniform
 from .tensor import Parameter, Tensor
 
 MASK_CONV_WIDTH = 8               # channels of the first conv
@@ -45,10 +47,10 @@ class PanopticMap:
 
 @dataclass
 class MaskOutput:
-    """Per-slot mask logits [N, h, w] plus the raw per-head heatmaps."""
+    """Per-slot mask logits plus the raw per-head heatmaps of a batch."""
 
-    logits: Tensor
-    heatmaps: Tensor                  # [M, N, HW], rows sum to 1 over HW
+    logits: Tensor                    # [B, N, 2h, 2w]
+    heatmaps: Tensor                  # [B, M, N, HW], rows sum to 1 over HW
 
 
 class MaskHead:
@@ -87,27 +89,33 @@ class MaskHead:
             p.tensor.zero_grad()
 
     def attention_maps(self, decoder_embs: Tensor, memory: Tensor) -> Tensor:
-        """Heatmaps [M, N, HW]; each row is a softmax over the HW grid."""
-        q = T.matmul(self.q_proj.tensor, decoder_embs) + self.q_bias.tensor
-        k = T.matmul(self.k_proj.tensor, memory) + self.k_bias.tensor
+        """Heatmaps [B, M, N, HW]; each row is a softmax over the HW grid."""
+        if decoder_embs.ndim != 3 or memory.ndim != 3:
+            raise T.DimensionError(f"mask head needs [B,d,N] embeddings and [B,d,HW] "
+                                   f"memory, got {decoder_embs.shape} and {memory.shape}")
+        batch, d, n = decoder_embs.shape
+        q = T.matmul(self.q_proj.tensor, T.reshape(decoder_embs, (batch, 1, d, n))) \
+            + self.q_bias.tensor                                  # [B,M,dh,N]
+        k = T.matmul(self.k_proj.tensor, T.reshape(memory, (batch, 1, d, memory.shape[-1]))) \
+            + self.k_bias.tensor                                  # [B,M,dh,HW]
         scores = T.matmul(T.transpose(q * (1.0 / math.sqrt(self.d_head))), k)
         return T.softmax_lastdim(scores)
 
     def __call__(self, decoder_embs: Tensor, memory: Tensor,
                  height: int, width: int) -> MaskOutput:
-        """Mask logits for N slots given [d,N] embeddings and [d,HW] memory."""
+        """Mask logits [B,N,2h,2w] for [B,d,N] embeddings and [B,d,HW] memory."""
         if memory.shape[-1] != height * width:
             raise T.DimensionError(
                 f"memory length {memory.shape[-1]} != {height}x{width}")
-        n = decoder_embs.shape[-1]
-        heat = self.attention_maps(decoder_embs, memory)          # [M,N,HW]
-        maps = T.reshape(T.transpose(heat, (1, 0, 2)),
-                         (n, self.num_heads, height, width))
+        heat = self.attention_maps(decoder_embs, memory)          # [B,M,N,HW]
+        batch, _, n = decoder_embs.shape
+        maps = T.reshape(T.transpose(heat, (0, 2, 1, 3)),
+                         (batch * n, self.num_heads, height, width))
         x = T.relu(T.conv2d(maps, self.conv1_w.tensor, self.conv1_b.tensor,
                             padding=1))
         x = T.upsample2x_bilinear(x)
         x = T.conv2d(x, self.conv2_w.tensor, self.conv2_b.tensor, padding=1)
-        logits = T.reshape(x, (n, 2 * height, 2 * width))
+        logits = T.reshape(x, (batch, n, 2 * height, 2 * width))
         return MaskOutput(logits=logits, heatmaps=heat)
 
 
@@ -122,8 +130,7 @@ def panoptic_merge(mask_logits: np.ndarray, confidences: np.ndarray,
     deleted and their pixels move to the next-best surviving slot (void
     if none remains).
     """
-    if type(conf_thresh) not in (int, float) or not 0 <= conf_thresh <= 1:
-        raise ValueError(f"conf_thresh must be a real in [0, 1], got {conf_thresh!r}")
+    check_unit_interval("conf_thresh", conf_thresh)
     mask_logits = np.asarray(mask_logits, dtype=np.float64)
     confidences = np.asarray(confidences, dtype=np.float64)
     classes = np.asarray(classes, dtype=np.int64)

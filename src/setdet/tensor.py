@@ -559,7 +559,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     win = win[:, :, ::stride, ::stride]                      # [B,C,Ho,Wo,kh,kw]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
     wmat = w.data.reshape(O, C * kh * kw)
-    out = cols @ wmat.T
+    # one product per image, so an image's output does not depend on the batch
+    out = cols.reshape(B, Ho * Wo, C * kh * kw) @ wmat.T
     if b is not None:
         out += b.data
     out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)

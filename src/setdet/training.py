@@ -41,6 +41,7 @@ from .detector import (
     write_arrays,
 )
 from .evaluation import EvalReport, evaluate_detections, greedy_match, nms, panoptic_quality
+from .layers import check_unit_interval
 from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
 from .segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
 from .tensor import DimensionError, Parameter
@@ -244,6 +245,8 @@ def evaluate_model(model: Detector, samples, use_layer: int = -1,
                    override_empty: bool = True,
                    nms_thresh: float | None = None) -> EvalReport:
     """Score inference over samples against targets, after NMS if ``nms_thresh``."""
+    if nms_thresh is not None:
+        check_unit_interval("iou_thresh", nms_thresh)
     detections = predict_batch(model, samples, use_layer, override_empty)
     if nms_thresh is not None:
         detections = [nms(dets, nms_thresh) for dets in detections]
@@ -254,6 +257,7 @@ def evaluate_model(model: Detector, samples, use_layer: int = -1,
 def evaluate_layers(model: Detector, samples, nms_thresh: float) -> list[dict]:
     """AP and AP50 of each decoder layer (1-based), without and with NMS, from
     one forward (paper Fig. 4); no-object slots are dropped, not overridden."""
+    check_unit_interval("iou_thresh", nms_thresh)
     output = forward_batch(model, samples)
     targets = [s.targets for s in samples]
     rows = []
@@ -293,23 +297,34 @@ def missed_fraction(model: Detector, class_id: int, count: int, repeats: int,
 def evaluate_panoptic(model: Detector, head: MaskHead, samples, num_things: int,
                       conf_thresh: float = 0.85) -> dict:
     """Mean PQ, SQ, RQ, PQ_th and PQ_st over images of detector + mask head +
-    merge; classes below ``num_things`` are things."""
+    merge; classes below ``num_things`` are things.  A field that is NaN in
+    every image (PQ_st with no stuff segment anywhere) is reported as NaN."""
+    check_unit_interval("conf_thresh", conf_thresh)
+    for i, s in enumerate(samples):
+        if s.masks is None or s.stuff_map is None:
+            raise ValueError(f"sample {i} has no panoptic ground truth (masks and "
+                             f"stuff_map); file-backed annotations hold boxes only")
     side = model.config.feature_side
     factor = model.config.stride // 2
-    totals = []
-    for sample in samples:
-        with T.no_grad():
-            out, memory, embs = model.forward_with_internals(sample.image[None])
-            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
-        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]  # no no-object
-        pred = panoptic_merge(mask_out.logits.data, probs_all.max(axis=-1),
-                              probs_all.argmax(axis=-1), thing_classes=num_things,
-                              conf_thresh=conf_thresh)
-        gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
-        totals.append(panoptic_quality(pred, gt))
+
+    def score(images, chunk):
+        out, memory, embs = model.forward_with_internals(images)
+        mask_logits = head(embs, memory, side, side).logits.data
+        probs = T.softmax(out.layers[-1].class_logits.data)[..., :-1]  # no no-object
+        return [panoptic_quality(
+                    panoptic_merge(mask_logits[b], probs[b].max(axis=-1),
+                                   probs[b].argmax(axis=-1), thing_classes=num_things,
+                                   conf_thresh=conf_thresh),
+                    downsample_map(panoptic_from_sample(sample, num_things), factor))
+                for b, sample in enumerate(chunk)]
+
+    totals = [t for part in _map_chunks(score, samples) for t in part]
     fields = {"PQ": "pq", "SQ": "sq", "RQ": "rq", "PQ_th": "pq_things", "PQ_st": "pq_stuff"}
-    return {**{key: float(np.nanmean([getattr(t, name) for t in totals]))
-               for key, name in fields.items()}, "images": len(samples)}
+    report = {}
+    for key, name in fields.items():
+        values = np.array([getattr(t, name) for t in totals])
+        report[key] = math.nan if np.isnan(values).all() else float(np.nanmean(values))
+    return {**report, "images": len(samples)}
 
 
 def predict_batch(model: Detector, samples, use_layer: int = -1, override_empty: bool = True):
@@ -319,13 +334,31 @@ def predict_batch(model: Detector, samples, use_layer: int = -1, override_empty:
 
 def forward_batch(model: Detector, samples) -> DetectionOutput:
     """Every decoder layer's predictions for all samples, from batched
-    no_grad forwards; the arrays are [B, ...] over the samples, in order.
+    no_grad forwards (``_map_chunks``); the arrays are [B, ...] over the
+    samples, in order."""
+    outputs = _map_chunks(lambda images, chunk: model.forward(images), samples)
+    cfg = model.config
+    # the empty leading arrays give zero samples the right shapes
+    logits = np.zeros((0, cfg.num_queries, cfg.num_classes + 1))
+    boxes = np.zeros((0, cfg.num_queries, 4))
+    return DetectionOutput([
+        LayerPrediction(
+            T.Tensor(np.concatenate([logits, *(o.layers[i].class_logits.data for o in outputs)])),
+            T.Tensor(np.concatenate([boxes, *(o.layers[i].boxes.data for o in outputs)])))
+        for i in range(cfg.dec_layers)])
 
-    The samples are cut into chunks of ``PREDICT_CHUNK`` images, and the
-    chunks run on one thread per usable CPU (a single chunk runs in the
-    calling thread).  Images share no state in a forward, so the output
-    does not depend on the threads; it differs from one forward over all
-    the images only in the last bits of BLAS rounding.  The threads pay
+
+def _map_chunks(fn, samples) -> list:
+    """``fn(images, chunk)`` under ``no_grad`` for each chunk of
+    ``PREDICT_CHUNK`` samples, with ``images`` the chunk's stacked [b,3,H,W]
+    images; the results come back in sample order.
+
+    The chunks run on one thread per usable CPU (a single chunk runs in the
+    calling thread).  Images share no state in a forward, and every op
+    computes each image with the same products whatever the batch (conv2d
+    runs one product per image), so the results do not depend on the
+    threads or the chunking: they equal one forward over all the images,
+    or over each image alone, bit for bit.  The threads pay
     off with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), the setting
     every measurement of setdet uses: a multi-threaded BLAS already spreads
     each large product over the cores and spin-waits, and the two kinds of
@@ -340,25 +373,15 @@ def forward_batch(model: Detector, samples) -> DetectionOutput:
     def run(chunk):
         images = np.stack([s.image for s in chunk])
         with T.no_grad():
-            return model.forward(images)
+            return fn(images, chunk)
 
     chunks = [samples[lo:lo + PREDICT_CHUNK]
               for lo in range(0, len(samples), PREDICT_CHUNK)]
     workers = min(len(chunks), _usable_cpus())
     if workers <= 1:
-        outputs = [run(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            outputs = list(pool.map(run, chunks))
-    cfg = model.config
-    # the empty leading arrays give zero samples the right shapes
-    logits = np.zeros((0, cfg.num_queries, cfg.num_classes + 1))
-    boxes = np.zeros((0, cfg.num_queries, 4))
-    return DetectionOutput([
-        LayerPrediction(
-            T.Tensor(np.concatenate([logits, *(o.layers[i].class_logits.data for o in outputs)])),
-            T.Tensor(np.concatenate([boxes, *(o.layers[i].boxes.data for o in outputs)])))
-        for i in range(cfg.dec_layers)])
+        return [run(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, chunks))
 
 
 def _usable_cpus() -> int:
@@ -516,8 +539,11 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
                     log=None) -> MaskHead:
     """Freeze the detector and fit the mask head with DICE + focal.
 
-    Targets come from the final decoder layer's matching; ground-truth
-    masks are block-averaged down to the mask logits' resolution.
+    The frozen detector runs once per run, before the first epoch: its
+    final decoder embeddings and encoder memory are kept for every train
+    image, with the final layer's matching and the ground-truth masks
+    block-averaged down to the mask logits' resolution.  Each step then
+    runs the head once on its batch's slices.
     """
     mask_cfg = mask_cfg or MaskTrainConfig()
     head = MaskHead(model.config.d, model.config.num_heads,
@@ -526,7 +552,20 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
                       weight_decay=mask_cfg.weight_decay)
     train_set = build_dataset(cfg.data, cfg.train_size, TRAIN_NAMESPACE, cfg.seed)
     side = model.config.feature_side
-    mask_stride = model.config.stride // 2
+    n_slots = model.config.num_queries
+
+    def frozen(images, chunk):
+        out, memory, embs = model.forward_with_internals(images)
+        logits, boxes = out.layers[-1].class_logits.data, out.layers[-1].boxes.data
+        slots = [match(logits[b], boxes[b], s.targets, cfg.loss).slot_of_target
+                 for b, s in enumerate(chunk)]
+        return embs.data, memory.data, slots
+
+    parts = _map_chunks(frozen, train_set)
+    embs = np.concatenate([p[0] for p in parts])                 # [S, d, N]
+    memory = np.concatenate([p[1] for p in parts])               # [S, d, HW]
+    slot_of_target = [slots for p in parts for slots in p[2]]
+    gt_masks = [_downsample_mask(s.masks, model.config.stride // 2) for s in train_set]
 
     for epoch in range(1, mask_cfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, 4, epoch]) \
@@ -535,30 +574,20 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
         count = 0
         for lo in range(0, len(order), mask_cfg.batch_size):
             batch_idx = order[lo:lo + mask_cfg.batch_size]
-            head.zero_grad()
-            batch_loss = None
-            num_objects = max(1, sum(len(train_set[i].targets) for i in batch_idx))
-            for i in batch_idx:
-                sample = train_set[i]
-                if len(sample.targets) == 0 or sample.masks is None:
-                    continue
-                with T.no_grad():
-                    out, memory, final_embs = model.forward_with_internals(
-                        sample.image[None])
-                logits = out.layers[-1].class_logits.data[0]
-                boxes = out.layers[-1].boxes.data[0]
-                assignment = match(logits, boxes, sample.targets, cfg.loss)
-                mask_out = head(T.Tensor(final_embs.data[0]), T.Tensor(memory.data[0]),
-                                side, side)
-                pred = T.take(mask_out.logits, assignment.slot_of_target, axis=0)
-                gt = np.stack([_downsample_mask(m, mask_stride)
-                               for m in sample.masks])
-                term = (T.tsum(dice_loss(pred, gt)) * cfg.loss.dice
-                        + focal_loss(pred, gt) * (cfg.loss.focal * len(gt)))
-                batch_loss = term if batch_loss is None else batch_loss + term
-            if batch_loss is None:
+            # flat index b * N + slot into the batch's [b*N, 2h, 2w] logits
+            rows = np.concatenate([b * n_slots + slot_of_target[i]
+                                   for b, i in enumerate(batch_idx)])
+            if len(rows) == 0:
                 continue
-            batch_loss = batch_loss * (1.0 / num_objects)
+            head.zero_grad()
+            mask_out = head(T.Tensor(embs[batch_idx]), T.Tensor(memory[batch_idx]),
+                            side, side)
+            pred = T.take(T.reshape(mask_out.logits, (len(batch_idx) * n_slots,
+                                                      2 * side, 2 * side)), rows, axis=0)
+            gt = np.concatenate([gt_masks[i] for i in batch_idx])
+            batch_loss = (T.tsum(dice_loss(pred, gt)) * cfg.loss.dice
+                          + focal_loss(pred, gt) * (cfg.loss.focal * len(gt))) \
+                * (1.0 / len(gt))
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -574,11 +603,12 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
     return head
 
 
-def _downsample_mask(mask: np.ndarray, factor: int) -> np.ndarray:
-    h, w = mask.shape
+def _downsample_mask(masks: np.ndarray, factor: int) -> np.ndarray:
+    """Block-average [..., H, W] masks by ``factor`` and threshold at 0.5."""
+    h, w = masks.shape[-2:]
     hh, ww = h // factor, w // factor
-    blocks = mask[:hh * factor, :ww * factor].astype(np.float64) \
-        .reshape(hh, factor, ww, factor).mean(axis=(1, 3))
+    blocks = masks[..., :hh * factor, :ww * factor].astype(np.float64) \
+        .reshape(*masks.shape[:-2], hh, factor, ww, factor).mean(axis=(-3, -1))
     return (blocks > 0.5).astype(np.float64)
 
 

@@ -13,7 +13,8 @@ from setdet.data import (
     save_annotations,
     save_image_raw,
 )
-from setdet.detector import Detection, ModelConfig
+from setdet.detector import Detection, Detector, ModelConfig, save_checkpoint
+from setdet.segmentation import MaskHead
 from setdet.training import TrainConfig, missed_fraction
 
 TINY = {
@@ -302,3 +303,31 @@ def test_instances_sweep_inputs_checked(trained, capsys):
     for class_id in ("-1", "2", "7"):
         with pytest.raises(ValueError, match=rf"class_id must be in \[0, 2\), got {class_id}"):
             main(base + ["--counts", "2", "--repeats", "1", "--class-id", class_id])
+
+
+def test_eval_panoptic_rejects_file_backed_annotations(trained, tmp_path, monkeypatch):
+    cfg = trained["cfg"]
+    mask_ckpt = str(tmp_path / "mask.sdtr")
+    save_checkpoint(MaskHead(cfg.model.d, cfg.model.num_heads, np.random.default_rng(0)),
+                    mask_ckpt)
+    records = []
+    for i, sample in enumerate(build_dataset(cfg.data, 2, 1, cfg.seed)):
+        image_path = str(tmp_path / f"img{i}.simg")
+        save_image_raw(image_path, sample.image)
+        records.append({"id": i, "width": 16, "height": 16, "file": image_path,
+                        "objects": [{"class": int(c), "box": [float(v) for v in b]}
+                                    for c, b in zip(sample.targets.classes,
+                                                    sample.targets.boxes)]})
+    ann = str(tmp_path / "files.json")
+    with open(ann, "w") as fh:
+        json.dump({"images": records}, fh)
+
+    def failing(*args, **kwargs):
+        raise AssertionError("the detector ran before the samples were checked")
+
+    monkeypatch.setattr(Detector, "forward_with_internals", failing)
+    report = str(tmp_path / "pq.json")
+    with pytest.raises(ValueError, match="^sample 0 has no panoptic ground truth"):
+        main(["eval-panoptic", "--ckpt", trained["ckpt"], "--mask-ckpt", mask_ckpt,
+              "--config", trained["cfg_path"], "--data", ann, "--report", report])
+    assert not os.path.exists(report)

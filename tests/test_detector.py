@@ -14,6 +14,7 @@ from setdet.detector import (
 )
 from setdet.layers import ConfigError, MultiHeadAttention
 from setdet.matching import LossWeights, TargetSet, dice_loss, total_loss
+from setdet.segmentation import MaskHead
 from setdet.tensor import DimensionError, Tensor, grad_check
 
 TINY = dict(d=8, num_heads=2, enc_layers=1, dec_layers=2, num_queries=3,
@@ -111,10 +112,9 @@ class TestForward:
             singles = [model.forward(images[b:b + 1]) for b in range(2)]
         for b, single in enumerate(singles):
             for got, want in zip(batched.layers, single.layers):
-                np.testing.assert_allclose(got.class_logits.data[b],
-                                           want.class_logits.data[0], atol=1e-12)
-                np.testing.assert_allclose(got.boxes.data[b], want.boxes.data[0],
-                                           atol=1e-12)
+                np.testing.assert_array_equal(got.class_logits.data[b],
+                                              want.class_logits.data[0])
+                np.testing.assert_array_equal(got.boxes.data[b], want.boxes.data[0])
 
     def test_per_layer_loss_isolation(self):
         # each layer's loss term only sees that layer's output
@@ -256,7 +256,10 @@ class TestCheckpoint:
     (lambda: T.conv2d(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((4, 3, 3, 3)))),
      "4-d input"),
     (lambda: dice_loss(Tensor(np.zeros((4, 4))), np.zeros((4, 4))), r"\[k,h,w\]"),
-], ids=["forward", "attention", "conv2d", "dice_loss"])
+    (lambda: MaskHead(8, 2, np.random.default_rng(0))(
+        Tensor(np.zeros((8, 5))), Tensor(np.zeros((8, 9))), 3, 3),
+     r"\[B,d,N\] embeddings and \[B,d,HW\] memory, got \(8, 5\) and \(8, 9\)"),
+], ids=["forward", "attention", "conv2d", "dice_loss", "mask_head"])
 def test_single_image_rank_rejected(call, match):
     # the model path takes a leading batch axis only; predict lifts one image
     with pytest.raises(DimensionError, match=match):

@@ -18,22 +18,22 @@ from setdet.tensor import Tensor, grad_check
 class TestMaskHead:
     def make(self, rng, d=8, heads=2, n=3, side=4):
         head = MaskHead(d, heads, rng)
-        embs = Tensor(rng.normal(size=(d, n)))
-        memory = Tensor(rng.normal(size=(d, side * side)))
+        embs = Tensor(rng.normal(size=(d, n))[None])
+        memory = Tensor(rng.normal(size=(d, side * side))[None])
         return head, embs, memory, side
 
     def test_heatmaps_normalized(self):
         rng = np.random.default_rng(0)
         head, embs, memory, side = self.make(rng)
         heat = head.attention_maps(embs, memory)
-        assert heat.shape == (2, 3, 16)
+        assert heat.shape == (1, 2, 3, 16)
         assert np.abs(heat.data.sum(axis=-1) - 1.0).max() <= 1e-12
 
     def test_one_logit_map_per_slot_at_double_resolution(self):
         rng = np.random.default_rng(1)
         head, embs, memory, side = self.make(rng, n=5)
         out = head(embs, memory, side, side)
-        assert out.logits.shape == (5, 8, 8)
+        assert out.logits.shape == (1, 5, 8, 8)
 
     def test_dominant_column_wins_heatmap(self):
         rng = np.random.default_rng(2)
@@ -47,14 +47,14 @@ class TestMaskHead:
         k_target = np.linalg.lstsq(head.k_proj.tensor.data[0], q[:, 0] * 50,
                                    rcond=None)[0]
         memory_np[:, target_col] = k_target
-        heat = head.attention_maps(Tensor(emb), Tensor(memory_np))
-        assert int(np.argmax(heat.data[0, 0])) == target_col
+        heat = head.attention_maps(Tensor(emb[None]), Tensor(memory_np[None]))
+        assert int(np.argmax(heat.data[0, 0, 0])) == target_col
         # scalar recomputation of the attention row
         kk = head.k_proj.tensor.data[0] @ memory_np + head.k_bias.tensor.data[0]
         scores = (q[:, 0] @ kk) / np.sqrt(head.d_head)
         want = np.exp(scores - scores.max())
         want /= want.sum()
-        np.testing.assert_allclose(heat.data[0, 0], want, atol=1e-12)
+        np.testing.assert_allclose(heat.data[0, 0, 0], want, atol=1e-12)
 
     def test_gradcheck_through_mask_losses(self):
         rng = np.random.default_rng(3)
@@ -62,13 +62,25 @@ class TestMaskHead:
         target = (rng.random((2, 4, 4)) > 0.5).astype(float)
 
         def loss_fn(x):
-            out = head(embs, memory, side, side)
-            return T.tsum(dice_loss(out.logits, target)) \
-                + focal_loss(out.logits, target)
+            logits = T.reshape(head(embs, memory, side, side).logits, target.shape)
+            return T.tsum(dice_loss(logits, target)) + focal_loss(logits, target)
 
         for param in (head.q_proj, head.conv1_w, head.conv2_w):
             err = grad_check(lambda t: loss_fn(t), param.tensor, eps=1e-5)
             assert err <= 1e-4, param.name
+
+    def test_batch_equals_each_image_alone(self):
+        rng = np.random.default_rng(5)
+        head = MaskHead(8, 2, rng)
+        embs = rng.normal(size=(3, 8, 4))
+        memory = rng.normal(size=(3, 8, 16))
+        batch = head(Tensor(embs), Tensor(memory), 4, 4)
+        assert batch.logits.shape == (3, 4, 8, 8)
+        assert batch.heatmaps.shape == (3, 2, 4, 16)
+        for b in range(3):
+            alone = head(Tensor(embs[b:b + 1]), Tensor(memory[b:b + 1]), 4, 4)
+            assert np.array_equal(batch.logits.data[b], alone.logits.data[0])
+            assert np.array_equal(batch.heatmaps.data[b], alone.heatmaps.data[0])
 
 
 def uniform_logits(masks, high=10.0, low=-10.0):

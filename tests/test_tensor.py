@@ -341,6 +341,17 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, self.conv_oracle(x, w, b, stride, padding),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("shape, weight", [((4, 4, 8, 8), (8, 4, 3, 3)),
+                                               ((20, 8, 4, 4), (16, 8, 3, 3))])
+    def test_batch_equals_each_image_alone(self, shape, weight):
+        # one product per image: an image's output does not depend on the batch
+        rng = np.random.default_rng(19)
+        x, w, b = rng.normal(size=shape), rng.normal(size=weight), rng.normal(size=weight[0])
+        batch = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        for i in range(shape[0]):
+            alone = T.conv2d(Tensor(x[i:i + 1]), Tensor(w), Tensor(b), padding=1).data
+            np.testing.assert_array_equal(batch[i], alone[0])
+
     def test_gradients(self):
         rng = np.random.default_rng(18)
         for k, stride, padding in [(3, 2, 1), (1, 1, 0), (2, 3, 0), (5, 1, 2), (3, 3, 2)]:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -463,7 +464,7 @@ class TestPredictBatch:
     def test_equals_one_forward(self, model, samples, cpus):
         with T.no_grad():
             whole = postprocess(model.forward(np.stack([s.image for s in samples])))
-        assert_same_detections(predict_batch(model, samples), whole, atol=1e-12)
+        assert_same_detections(predict_batch(model, samples), whole)
 
     def test_order_and_pool_shutdown(self, model, samples, cpus):
         alive = threading.active_count()
@@ -471,7 +472,7 @@ class TestPredictBatch:
         assert threading.active_count() == alive
         assert len(got) == 45
         for image, sample in zip(got, samples):
-            assert_same_detections([image], [model.predict(sample.image)], atol=1e-12)
+            assert_same_detections([image], [model.predict(sample.image)])
 
     def test_empty(self, model, cpus):
         assert predict_batch(model, []) == []
@@ -621,11 +622,11 @@ def eval_panoptic_reference(model, head, samples, num_things, conf_thresh):
     for sample in samples:
         with T.no_grad():
             out, memory, embs = model.forward_with_internals(sample.image[None])
-            mask_out = head(T.Tensor(embs.data[0]), T.Tensor(memory.data[0]), side, side)
+            mask_out = head(embs, memory, side, side)      # the head takes a batch of one
         probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]
         confidences = probs_all.max(axis=-1)
         classes = probs_all.argmax(axis=-1)
-        pred = panoptic_merge(mask_out.logits.data, confidences, classes,
+        pred = panoptic_merge(mask_out.logits.data[0], confidences, classes,
                               thing_classes=num_things, conf_thresh=conf_thresh)
         gt = downsample_map(panoptic_from_sample(sample, num_things), factor)
         totals.append(panoptic_quality(pred, gt))
@@ -661,3 +662,110 @@ def _reports_identical(a, b) -> bool:
     if isinstance(a, float) and isinstance(b, float):
         return (np.isnan(a) and np.isnan(b)) or a == b
     return a == b
+
+
+class TestPanopticBatchRank:
+    """The panoptic path forwards the frozen detector once per chunk."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return Detector(ModelConfig(**{**TINY_MODEL, "num_classes": 3}),
+                        np.random.default_rng(3))
+
+    @pytest.fixture(scope="class")
+    def head(self):
+        return MaskHead(TINY_MODEL["d"], TINY_MODEL["num_heads"], np.random.default_rng(4))
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        # 45 images: chunks of 20, 20 and 5
+        return build_dataset(SyntheticConfig(**TINY_DATA, include_stuff_boxes=True), 45,
+                             VAL_NAMESPACE, 3)
+
+    @staticmethod
+    def count_forwards(model, monkeypatch):
+        calls = []
+        forward = model.forward_with_internals
+
+        def counting(images, *args, **kwargs):
+            calls.append(len(images))
+            return forward(images, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_with_internals", counting)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_evaluate_panoptic_one_forward_per_chunk(self, model, head, samples,
+                                                     monkeypatch, cpus):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        want = eval_panoptic_reference(model, head, samples, 2, 0.0)
+        calls = self.count_forwards(model, monkeypatch)
+        got = evaluate_panoptic(model, head, samples, 2, conf_thresh=0.0)
+        assert sorted(calls) == [5, 20, 20]
+        assert _reports_identical(got, want)
+        assert got["PQ"] > 0 and got["images"] == 45
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_train_mask_head_runs_the_detector_once(self, monkeypatch, epochs):
+        cfg = tiny_train_config(train_size=45)
+        model = Detector(cfg.model, np.random.default_rng(0))
+        calls = self.count_forwards(model, monkeypatch)
+        matches = []
+        match = training.match
+
+        def counting_match(*args, **kwargs):
+            matches.append(1)
+            return match(*args, **kwargs)
+
+        monkeypatch.setattr(training, "match", counting_match)
+        training.train_mask_head(model, cfg, training.MaskTrainConfig(epochs=epochs,
+                                                                      batch_size=8))
+        assert sorted(calls) == [5, 20, 20]
+        assert len(matches) == 45
+
+    def test_field_nan_in_every_image_is_nan(self, model, head, samples):
+        # every pixel belongs to one thing, so no image has a stuff segment
+        side = TINY_DATA["image_side"]
+        things = [Sample(image=s.image, targets=TargetSet.create([0], [[0.5, 0.5, 1.0, 1.0]]),
+                         masks=np.ones((1, side, side), dtype=bool), stuff_map=s.stuff_map)
+                  for s in samples[:3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_panoptic(model, head, things, 2, conf_thresh=1.0)
+        assert math.isnan(got["PQ_st"])
+        assert got["PQ"] == got["PQ_th"] == got["SQ"] == got["RQ"] == 0.0
+        assert got["images"] == 3
+
+    @staticmethod
+    def forbid_forward(model, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("the detector ran before the inputs were checked")
+
+        monkeypatch.setattr(model, "forward", failing)
+        monkeypatch.setattr(model, "forward_with_internals", failing)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m, h, s: evaluate_model(m, s, nms_thresh=2), r"iou_thresh .* got 2$"),
+        (lambda m, h, s: evaluate_model(m, s, nms_thresh=float("nan")), "iou_thresh .* got nan$"),
+        (lambda m, h, s: evaluate_layers(m, s, nms_thresh=-1), "iou_thresh .* got -1$"),
+        (lambda m, h, s: evaluate_panoptic(m, h, s, 2, conf_thresh=1.5),
+         r"conf_thresh .* got 1\.5$"),
+        (lambda m, h, s: evaluate_panoptic(m, h, s, 2, conf_thresh="0.5"),
+         "conf_thresh .* got '0.5'$"),
+    ], ids=["eval-2", "eval-nan", "layers--1", "panoptic-1.5", "panoptic-str"])
+    def test_thresholds_checked_before_any_forward(self, model, head, samples, monkeypatch,
+                                                   call, message):
+        self.forbid_forward(model, monkeypatch)
+        with pytest.raises(ValueError, match=r"^\w+ must be a real in \[0, 1\], got"):
+            call(model, head, samples)
+        with pytest.raises(ValueError, match=message):
+            call(model, head, samples)
+
+    def test_samples_without_panoptic_truth_rejected_before_any_forward(
+            self, model, head, samples, monkeypatch):
+        self.forbid_forward(model, monkeypatch)
+        boxes_only = list(samples[:4])
+        boxes_only[2] = Sample(image=samples[2].image, targets=samples[2].targets)
+        boxes_only[3] = Sample(image=samples[3].image, targets=samples[3].targets)
+        with pytest.raises(ValueError, match="^sample 2 has no panoptic ground truth"):
+            evaluate_panoptic(model, head, boxes_only, 2)
