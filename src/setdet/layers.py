@@ -102,7 +102,13 @@ class AttentionWeights:
 
 class MultiHeadAttention:
     """M parallel heads, concatenated and projected, then
-    layernorm(residual + dropout(projection))."""
+    layernorm(residual + dropout(projection)).
+
+    The heads are one ``T.attention`` node over [B, M, d', N] projections:
+    softmax(qᵀk / sqrt(d')) weights the values.  The scores never outlive
+    one cache-sized block of heads, and the probabilities are kept only
+    while the tape records.
+    """
 
     def __init__(self, d: int, num_heads: int, rng, name: str):
         self.weights = AttentionWeights(d, num_heads, rng, name)
@@ -134,9 +140,7 @@ class MultiHeadAttention:
         q = project(w.q_proj, w.q_bias, q_in, heads_shape_q)
         k = project(w.k_proj, w.k_bias, k_in, heads_shape_kv)
         v = project(w.v_proj, w.v_bias, xkv, heads_shape_kv)
-        scores = T.matmul(T.transpose(q * (1.0 / math.sqrt(w.d_head))), k)
-        alpha = T.softmax_lastdim(scores)                       # [B,M,Nq,Nkv]
-        heads = T.matmul(v, T.transpose(alpha))                 # [B,M,d',Nq]
+        heads = T.attention(q, k, v, 1.0 / math.sqrt(w.d_head))  # [B,M,d',Nq]
         merged = T.reshape(heads, (batch, d, nq))               # channel concat
         proj = T.matmul(w.out_proj.tensor, merged) + w.out_bias.tensor
         proj = T.dropout(proj, dropout, rng, train)

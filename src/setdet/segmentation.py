@@ -197,7 +197,8 @@ def panoptic_from_sample(sample, num_thing_classes: int) -> PanopticMap:
         next_id += 1
     masks = sample.masks if sample.masks is not None else []
     for cls, mask in zip(sample.targets.classes, masks):
-        if not mask.any():
+        # stuff boxes carry their band's mask; stuff_map already labels it
+        if cls >= num_thing_classes or not mask.any():
             continue
         labels[mask] = next_id
         segments[next_id] = SegmentInfo(int(cls), True)

@@ -200,7 +200,10 @@ def _accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False):
 
 
 def _accumulate_reduced(tensor: Tensor, grad: np.ndarray, fresh: bool):
-    """Unbroadcast then accumulate; a reduction always yields a fresh array."""
+    """Unbroadcast then accumulate; a reduction always yields a fresh array.
+    Nothing is reduced for an operand that needs no gradient."""
+    if not tensor.requires_grad:
+        return
     g = _unbroadcast(grad, tensor.shape)
     _accumulate(tensor, g, owned=fresh or g is not grad)
 
@@ -257,7 +260,8 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         _accumulate_reduced(a, g, fresh=True)
-        _accumulate_reduced(b, -g, fresh=True)
+        if b.requires_grad:
+            _accumulate_reduced(b, -g, fresh=True)
 
     return _result(a.data - b.data, (a, b), backward)
 
@@ -266,8 +270,10 @@ def mul(a, b) -> Tensor:
     a, b = _binary(a, b, "mul")
 
     def backward(g):
-        _accumulate_reduced(a, g * b.data, fresh=True)
-        _accumulate_reduced(b, g * a.data, fresh=True)
+        if a.requires_grad:
+            _accumulate_reduced(a, g * b.data, fresh=True)
+        if b.requires_grad:
+            _accumulate_reduced(b, g * a.data, fresh=True)
 
     return _result(a.data * b.data, (a, b), backward)
 
@@ -276,8 +282,10 @@ def div(a, b) -> Tensor:
     a, b = _binary(a, b, "div")
 
     def backward(g):
-        _accumulate_reduced(a, g / b.data, fresh=True)
-        _accumulate_reduced(b, -g * a.data / (b.data * b.data), fresh=True)
+        if a.requires_grad:
+            _accumulate_reduced(a, g / b.data, fresh=True)
+        if b.requires_grad:
+            _accumulate_reduced(b, -g * a.data / (b.data * b.data), fresh=True)
 
     return _result(a.data / b.data, (a, b), backward)
 
@@ -304,8 +312,10 @@ def maximum(a, b) -> Tensor:
     take_a = a.data >= b.data
 
     def backward(g):
-        _accumulate_reduced(a, g * take_a, fresh=True)
-        _accumulate_reduced(b, g * ~take_a, fresh=True)
+        if a.requires_grad:
+            _accumulate_reduced(a, g * take_a, fresh=True)
+        if b.requires_grad:
+            _accumulate_reduced(b, g * ~take_a, fresh=True)
 
     return _result(np.maximum(a.data, b.data), (a, b), backward)
 
@@ -316,8 +326,10 @@ def minimum(a, b) -> Tensor:
     take_a = a.data <= b.data
 
     def backward(g):
-        _accumulate_reduced(a, g * take_a, fresh=True)
-        _accumulate_reduced(b, g * ~take_a, fresh=True)
+        if a.requires_grad:
+            _accumulate_reduced(a, g * take_a, fresh=True)
+        if b.requires_grad:
+            _accumulate_reduced(b, g * ~take_a, fresh=True)
 
     return _result(np.minimum(a.data, b.data), (a, b), backward)
 
@@ -385,6 +397,73 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate_reduced(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _result(a.data @ b.data, (a, b), backward)
+
+
+# Scores of one block of (batch x head) slices fit this many bytes, so the
+# softmax passes over them, forward and backward, stay in a core's L2 cache.
+ATTENTION_BLOCK_BYTES = 256 * 1024
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Scaled dot-product attention, one tape node: q [..., d', Nq] and
+    k, v [..., d', Nkv] -> v softmax(scale qᵀk)ᵀ [..., d', Nq].
+
+    Forward and backward walk the flattened leading axes in blocks whose
+    [Nq, Nkv] scores fit ``ATTENTION_BLOCK_BYTES``.  Each block runs the
+    products and softmax passes that the composed transpose / mul / matmul /
+    softmax_lastdim / transpose / matmul chain runs over the whole stack, on
+    the same views and in the same order; numpy calls the same per-slice
+    product for any stack length, so values and gradients are bit for bit
+    the composed chain's.  Without recording nothing larger than one block
+    of scores is allocated; with it, the probabilities are kept for backward
+    and the raw scores are not.
+    """
+    if q.ndim < 2 or k.shape != v.shape or q.shape[:-1] != k.shape[:-1]:
+        raise DimensionError(f"attention: need q [..., d', Nq] and k, v [..., d', Nkv], "
+                             f"got {q.shape}, {k.shape} and {v.shape}")
+    lead, (dh, nq), nkv = q.shape[:-2], q.shape[-2:], k.shape[-1]
+    qs = (q.data * scale).reshape(-1, dh, nq)
+    kd, vd = k.data.reshape(-1, dh, nkv), v.data.reshape(-1, dh, nkv)
+    slices = qs.shape[0]
+    step = max(1, ATTENTION_BLOCK_BYTES // (8 * max(nq * nkv, 1)))
+    blocks = [(lo, min(lo + step, slices)) for lo in range(0, slices, step)]
+    record = _GRAD.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    probs = np.empty((slices if record else min(step, slices), nq, nkv))
+    out = np.empty((slices, dh, nq))
+    for lo, hi in blocks:
+        p = probs[lo:hi] if record else probs[:hi - lo]
+        np.matmul(qs[lo:hi].swapaxes(-1, -2), kd[lo:hi], out=p)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(vd[lo:hi], p.swapaxes(-1, -2), out=out[lo:hi])
+
+    def backward(g):
+        g = g.reshape(-1, dh, nq)
+        dv = np.empty((slices, dh, nkv)) if v.requires_grad else None
+        dk = np.empty((slices, dh, nkv)) if k.requires_grad else None
+        dq_t = np.empty((slices, nq, dh)) if q.requires_grad else None
+        for lo, hi in blocks:
+            p, gb = probs[lo:hi], g[lo:hi]
+            if dv is not None:
+                np.matmul(gb, p, out=dv[lo:hi])
+            if dk is None and dq_t is None:
+                continue
+            dp = (vd[lo:hi].swapaxes(-1, -2) @ gb).swapaxes(-1, -2)
+            ds = dp - (dp * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            if dk is not None:
+                np.matmul(qs[lo:hi], ds, out=dk[lo:hi])
+            if dq_t is not None:
+                np.matmul(ds, kd[lo:hi].swapaxes(-1, -2), out=dq_t[lo:hi])
+        if dv is not None:
+            _accumulate(v, dv.reshape(v.shape), owned=True)
+        if dk is not None:
+            _accumulate(k, dk.reshape(k.shape), owned=True)
+        if dq_t is not None:
+            _accumulate(q, (dq_t.swapaxes(-1, -2) * scale).reshape(q.shape), owned=True)
+
+    return _result(out.reshape(lead + (dh, nq)), (q, k, v), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

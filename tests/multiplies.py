@@ -5,7 +5,9 @@ GFLOPs) are checked by counting the scalar multiplies of matrix products.
 The tape itself does not count: inside the block this module swaps
 ``setdet.tensor.matmul``, which every caller reaches through ``T.matmul``
 or ``Tensor.__matmul__``, for a wrapper that records
-``prod(broadcast batch) * m * k * n`` per product.  Elementwise work is not
+``prod(broadcast batch) * m * k * n`` per product.  ``setdet.tensor.attention``
+is wrapped the same way and records its two products, qᵀk and v·Pᵀ, each
+``G * d' * Nq * Nkv`` for G (batch x head) slices.  Elementwise work is not
 counted.  Each product is recorded with ``list.append``, which is atomic,
 so products run by worker threads inside the block are all counted.
 """
@@ -21,22 +23,32 @@ import numpy as np
 from setdet import tensor as T
 
 
+def _shape(value):
+    return np.shape(getattr(value, "data", value))
+
+
 @contextmanager
 def count_matmul_multiplies():
     """Count the multiplies of every matmul run inside the block; the
     yielded object's ``.count`` holds the total after the block."""
-    counter, products, matmul = SimpleNamespace(count=0), [], T.matmul
+    counter, products = SimpleNamespace(count=0), []
+    matmul, attention = T.matmul, T.attention
 
     def counted(a, b):
         out = matmul(a, b)
-        sa, sb = np.shape(getattr(a, "data", a)), np.shape(getattr(b, "data", b))
+        sa, sb = _shape(a), _shape(b)
         batch = np.broadcast_shapes(sa[:-2], sb[:-2])
         products.append(math.prod(batch) * sa[-2] * sa[-1] * sb[-1])
         return out
 
-    T.matmul = counted
+    def counted_attention(q, k, v, scale):
+        out = attention(q, k, v, scale)
+        products.append(2 * math.prod(_shape(q)) * _shape(k)[-1])
+        return out
+
+    T.matmul, T.attention = counted, counted_attention
     try:
         yield counter
     finally:
-        T.matmul = matmul
+        T.matmul, T.attention = matmul, attention
         counter.count = sum(products)

@@ -95,6 +95,24 @@ class TestForward:
         assert (a.layers[-1].class_logits.data == b.layers[-1].class_logits.data).all()
         assert (a.layers[-1].boxes.data == b.layers[-1].boxes.data).all()
 
+    @pytest.mark.parametrize("enc,dec", [(1, 2), (2, 1)])
+    def test_one_attention_node_per_attention_layer(self, monkeypatch, enc, dec):
+        calls, attention = [], T.attention
+
+        def counted(q, k, v, scale):
+            calls.append(q.shape[:2])
+            return attention(q, k, v, scale)
+
+        def no_softmax(*args):
+            raise AssertionError("the model path runs no separate softmax")
+
+        monkeypatch.setattr(T, "attention", counted)
+        monkeypatch.setattr(T, "softmax_lastdim", no_softmax)
+        model = tiny_model(enc_layers=enc, dec_layers=dec)
+        model.forward(np.random.default_rng(6).random((2, 3, 16, 16)))
+        # encoder self-attention, then decoder self- and cross-attention
+        assert calls == [(2, 2)] * (enc + 2 * dec)
+
     def test_class_probabilities_sum_to_one(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(5).random((1, 3, 16, 16)))

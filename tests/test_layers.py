@@ -13,6 +13,7 @@ from setdet.layers import (
     MultiHeadAttention,
 )
 from setdet.tensor import Tensor, grad_check
+from test_tensor import composed_attention
 
 
 def attention_head(xq: Tensor, xkv: Tensor, wq, bq, wk, bk, wv, bv,
@@ -172,6 +173,24 @@ class TestMultiHeadAttention:
             + mha.weights.out_bias.tensor
         want = T.layer_norm(xq + proj, mha.norm.gain.tensor, mha.norm.bias.tensor)
         np.testing.assert_allclose(got.data, want.data, atol=1e-12)
+
+    def test_equals_composed_attention_bitwise(self, monkeypatch):
+        # the fused node against the transpose/scale/matmul/softmax/matmul
+        # chain it replaced: output, input and parameter gradients
+        def run():
+            rng = np.random.default_rng(17)
+            mha = MultiHeadAttention(8, 2, rng, "attn")
+            xq = Tensor(rng.normal(size=(3, 8, 5)), requires_grad=True)
+            xkv = Tensor(rng.normal(size=(3, 8, 7)), requires_grad=True)
+            pos_q, pos_kv = Tensor(rng.normal(size=(8, 5))), Tensor(rng.normal(size=(8, 7)))
+            out = mha(xq, xkv, pos_q=pos_q, pos_kv=pos_kv)
+            T.tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+            return [out.data, xq.grad, xkv.grad] + [p.tensor.grad for p in mha.parameters()]
+
+        fused = run()
+        monkeypatch.setattr(T, "attention", composed_attention)
+        for got, want in zip(fused, run(), strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_kv_permutation_invariance_without_positional(self):
         rng = np.random.default_rng(8)

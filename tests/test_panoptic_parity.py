@@ -10,6 +10,11 @@ every epoch (commit 1257611):
 - the ``evaluate_panoptic`` report at two confidence thresholds;
 - every parameter of the head after a seeded 3-epoch ``train_mask_head``.
 
+The two reports were re-recorded, alone, once ``panoptic_from_sample``
+stopped painting the stuff bands of ``include_stuff_boxes`` data as things:
+their ground truth now holds one stuff segment per band, so ``PQ_th`` no
+longer scores stuff and ``PQ_st`` is defined at both thresholds.
+
 The logits, heatmaps and reports must come out bit for bit the same.  The
 trained parameters must agree to 1e-12 relative: the loss now sums the
 same terms over a stacked batch, which rounds differently.  The one

@@ -190,6 +190,24 @@ class TestPanopticGroundTruth:
         thing_count = sum(info.is_thing for info in pmap.segments.values())
         assert thing_count == sum(1 for m in sample.masks if m.any())
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("stuff_classes", [1, 2])
+    def test_stuff_boxes_stay_stuff(self, seed, stuff_classes):
+        # the stuff bands' masks ride along in sample.masks; they must not
+        # repaint their own stuff segment as a thing
+        cfg = SyntheticConfig(min_objects=1, max_objects=3, stuff_classes=stuff_classes,
+                              include_stuff_boxes=True)
+        sample = generate_scene(cfg, np.random.default_rng(seed))
+        assert (sample.targets.classes >= cfg.num_classes).sum() == stuff_classes
+        pmap = panoptic_from_sample(sample, cfg.num_classes)
+        stuff = sorted(info.class_id for info in pmap.segments.values() if not info.is_thing)
+        things = [info.class_id for info in pmap.segments.values() if info.is_thing]
+        assert stuff == sorted(set(sample.stuff_map.reshape(-1).tolist()))
+        assert len(stuff) == stuff_classes
+        assert all(cls < cfg.num_classes for cls in things)
+        assert len(things) == sum(1 for cls, m in zip(sample.targets.classes, sample.masks)
+                                  if cls < cfg.num_classes and m.any())
+
     def test_downsample_majority(self):
         labels = np.ones((8, 8), dtype=np.int64)
         labels[:, 4:] = 2

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,6 +463,142 @@ class TestDropout:
         np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0)
 
 
+def composed_attention(q, k, v, scale):
+    """The chain ``T.attention`` replaced, one tape node per step: the
+    reference its forward and gradients must equal bit for bit."""
+    scores = T.matmul(T.transpose(q * scale), k)
+    alpha = T.softmax_lastdim(scores)
+    return T.matmul(v, T.transpose(alpha))
+
+
+def attention_run(fn, q_shape, nkv, seed=0):
+    """Forward without recording, forward with recording, and the q/k/v
+    gradients of a generic scalar of the recorded output."""
+    rng = np.random.default_rng(seed)
+    *lead, dh, nq = q_shape
+    arrays = [rng.normal(size=q_shape), rng.normal(size=(*lead, dh, nkv)),
+              rng.normal(size=(*lead, dh, nkv))]
+    upstream = Tensor(rng.normal(size=q_shape))
+    scale = 1.0 / np.sqrt(dh)
+    with T.no_grad():
+        plain = fn(*map(Tensor, arrays), scale).data
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves, scale)
+    T.tsum(out * upstream).backward()
+    return [plain, out.data] + [t.grad for t in leaves]
+
+
+ATTENTION_SHAPES = [((16, 8, 8, 64), 64), ((16, 8, 8, 10), 64), ((16, 8, 8, 10), 10),
+                    ((1, 8, 8, 225), 225), ((20, 8, 8, 64), 64)]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("q_shape,nkv", ATTENTION_SHAPES)
+    def test_bitwise_equal_to_composed_path(self, q_shape, nkv):
+        want = attention_run(composed_attention, q_shape, nkv)
+        got = attention_run(T.attention, q_shape, nkv)
+        for name, g, w in zip(("no_grad", "forward", "dq", "dk", "dv"), got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("q_shape,nkv,budget", [
+        ((1, 1, 8, 200), 200, None),        # one slice larger than the budget
+        ((3, 5, 4, 64), 64, None),          # 15 slices in blocks of 8
+        ((2, 3, 4, 6), 5, 4 * 6 * 5 * 8),   # blocks of 4 over 6 slices
+        ((1, 1, 4, 6), 5, None),            # a single slice
+        ((7, 4, 6), 9, 1),                  # one slice per block, 3-d operands
+    ])
+    def test_block_edges_bitwise(self, monkeypatch, q_shape, nkv, budget):
+        if budget is not None:
+            monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+        want = attention_run(composed_attention, q_shape, nkv, seed=1)
+        got = attention_run(T.attention, q_shape, nkv, seed=1)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_grad_check(self, monkeypatch):
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * 3 * 5 * 8)
+        rng = np.random.default_rng(2)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 4, n))) for n in (3, 5, 5))
+
+        def check(which):
+            def f(t):
+                args = [q, k, v]
+                args[which] = t
+                return scalarize(T.attention(*args, 0.7))
+            return grad_check(f, [q, k, v][which], eps=1e-6)
+
+        for which in range(3):
+            assert check(which) <= 1e-6, which
+
+    def test_no_grad_holds_one_block(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(1, 8, 8, 225))) for _ in range(3))
+        full_scores = 8 * 225 * 225 * 8                     # 3.2 MB
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.attention(q, k, v, 0.35)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one [225,225] block (405 kB), the scaled q and the output (115 kB
+        # each) and numpy's buffers: about 0.7 MB, where the composed chain
+        # peaked at 6.6 MB
+        assert peak < full_scores / 3
+        # what stays alive is the [1,8,8,225] output, not the probabilities
+        assert current < 4 * out.data.nbytes
+        assert out._backward is None and out._parents == ()
+
+    def test_recording_keeps_probabilities_not_scores(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (Tensor(rng.normal(size=(2, 2, 4, 40)), requires_grad=True)
+                   for _ in range(3))
+        probs = 2 * 2 * 40 * 40 * 8
+        tracemalloc.start()
+        try:
+            out = T.attention(q, k, v, 0.5)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the scaled q, the output and one [2,2,40,40] array of probabilities;
+        # the composed chain also kept the raw scores, another `probs` bytes
+        assert current < 2 * q.data.nbytes + probs * 3 // 2
+        assert out._parents == (q, k, v)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 4, 5), (2, 4, 6), (2, 4, 7)),      # k and v differ
+        ((2, 4, 5), (2, 3, 6), (2, 3, 6)),      # head widths differ
+        ((3, 4, 5), (2, 4, 6), (2, 4, 6)),      # leading axes differ
+        ((5,), (5,), (5,)),                     # no [d', N] axes
+    ])
+    def test_shapes_checked(self, shapes):
+        q, k, v = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(DimensionError, match="^attention: need q"):
+            T.attention(q, k, v, 1.0)
+
+
+def test_constant_operand_gradient_is_not_reduced(monkeypatch):
+    # x + pos, x * pos, ... with a fixed [d, N] table: backward must not sum
+    # the [B, d, N] gradient over the batch for the table
+    calls = []
+    unbroadcast = T._unbroadcast
+
+    def spy(grad, shape):
+        calls.append(shape)
+        return unbroadcast(grad, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", spy)
+    rng = np.random.default_rng(15)
+    pos = Tensor(rng.uniform(1, 2, (4, 5)))
+    for op in (T.add, T.sub, T.mul, T.div, T.maximum, T.minimum):
+        for x_first in (True, False):
+            x = Tensor(rng.uniform(1, 2, (3, 4, 5)), requires_grad=True)
+            calls.clear()
+            T.tsum(op(x, pos) if x_first else op(pos, x)).backward()
+            assert calls and all(shape == x.shape for shape in calls), op.__name__
+            assert x.grad.shape == x.shape and pos.grad is None
+
+
 def test_multiply_counter_counts_matmul_only():
     a = Tensor(np.ones((3, 4)))
     b = Tensor(np.ones((4, 5)))
@@ -476,6 +613,11 @@ def test_multiply_counter_counts_matmul_only():
     with count_matmul_multiplies() as c:
         a @ b
     assert c.count == 3 * 4 * 5 and T.matmul is matmul
+    attention = T.attention
+    with count_matmul_multiplies() as c:       # qᵀk and v·Pᵀ of 6 slices
+        T.attention(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((2, 3, 4, 7))),
+                    Tensor(np.ones((2, 3, 4, 7))), 0.5)
+    assert c.count == 2 * 6 * 4 * 5 * 7 and T.attention is attention
 
 
 def test_no_grad_suppresses_tape():
