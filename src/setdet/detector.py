@@ -252,9 +252,7 @@ class Detector:
         layers = []
         for state in layer_states:
             logits = T.transpose(self.class_head(state))         # [B, N, K+1]
-            h = state
-            h = T.relu(self.box_head[0](h))
-            h = T.relu(self.box_head[1](h))
+            h = self.box_head[1](self.box_head[0](state, relu=True), relu=True)
             boxes = T.transpose(T.sigmoid(self.box_head[2](h)))  # [B, N, 4]
             layers.append(LayerPrediction(logits, boxes))
         return DetectionOutput(layers), memory, layer_states[-1]

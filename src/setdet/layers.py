@@ -5,6 +5,10 @@ tables are [d, N] and broadcast over the batch.  Attention projects
 queries and keys from the inputs *plus* their positional encodings,
 while values are projected from the raw key-value sequence only, so
 positional information can never leak into the aggregated content.
+
+Every affine map here, the attention projections and the FFN layers (and
+the detector's heads through ``Linear``), is one ``T.linear`` tape node
+with its bias, and with the ReLU where one follows.
 """
 
 from __future__ import annotations
@@ -38,15 +42,16 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int):
 
 
 class Linear:
-    """y = W x + b on channels-first sequences [.., d_in, N]."""
+    """y = W x + b on channels-first sequences [.., d_in, N], optionally
+    followed by a ReLU; one ``T.linear`` tape node either way."""
 
     def __init__(self, d_in: int, d_out: int, rng, name: str):
         self.weight = Parameter(f"{name}.weight",
                                 Tensor(xavier_uniform(rng, (d_out, d_in), d_in, d_out)))
         self.bias = Parameter(f"{name}.bias", Tensor(np.zeros((d_out, 1))))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(self.weight.tensor, x) + self.bias.tensor
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.linear(self.weight.tensor, x, self.bias.tensor, relu)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -135,14 +140,14 @@ class MultiHeadAttention:
         def project(weight, bias, x, out_shape):
             w2d = T.reshape(weight.tensor, (d, d))
             b2d = T.reshape(bias.tensor, (d, 1))
-            return T.reshape(T.matmul(w2d, x) + b2d, out_shape)
+            return T.reshape(T.linear(w2d, x, b2d), out_shape)
 
         q = project(w.q_proj, w.q_bias, q_in, heads_shape_q)
         k = project(w.k_proj, w.k_bias, k_in, heads_shape_kv)
         v = project(w.v_proj, w.v_bias, xkv, heads_shape_kv)
         heads = T.attention(q, k, v, 1.0 / math.sqrt(w.d_head))  # [B,M,d',Nq]
         merged = T.reshape(heads, (batch, d, nq))               # channel concat
-        proj = T.matmul(w.out_proj.tensor, merged) + w.out_bias.tensor
+        proj = T.linear(w.out_proj.tensor, merged, w.out_bias.tensor)
         proj = T.dropout(proj, dropout, rng, train)
         return self.norm(xq + proj)
 
@@ -163,7 +168,7 @@ class FeedForward:
 
     def __call__(self, x: Tensor, dropout: float = 0.0, rng=None,
                  train: bool = False) -> Tensor:
-        inner = self.lin2(T.relu(self.lin1(x)))
+        inner = self.lin2(self.lin1(x, relu=True))
         inner = T.dropout(inner, dropout, rng, train)
         return self.norm(x + inner)
 

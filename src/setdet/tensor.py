@@ -10,6 +10,14 @@ Broadcasting is deliberately restricted: two shapes may combine only if
 they are equal, one of them is scalar, or one of them broadcasts to the
 other (trailing-dim alignment).  Shape mixes that would produce a third
 shape raise ``DimensionError`` instead of silently outer-broadcasting.
+
+A node's backward closure keeps alive what it holds, so the ops on the
+model's path keep only what their backward reads.  ``linear`` (product,
+bias and ReLU) and ``attention`` fuse a chain of ops into one node;
+``layer_norm`` and ``dropout`` write into buffers they own and keep the
+normalized input and a bool draw.  Each gives the values and gradients of
+the plain composed expressions bit for bit, and the tests keep those
+expressions as references.
 """
 
 from __future__ import annotations
@@ -210,6 +218,8 @@ def _accumulate_reduced(tensor: Tensor, grad: np.ndarray, fresh: bool):
 
 def _check_broadcast(sa: tuple, sb: tuple, opname: str) -> tuple:
     """Allow equal shapes, scalars, or one shape broadcasting to the other."""
+    if sa == sb:
+        return sa
     try:
         out = np.broadcast_shapes(sa, sb)
     except ValueError:
@@ -384,11 +394,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul: inner dims differ between shapes {a.shape} and {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise DimensionError(
-            f"matmul: batch dims of {a.shape} and {b.shape} do not align") from None
+    if a.ndim > 2 and b.ndim > 2:           # a 2-d operand broadcasts to any batch
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError:
+            raise DimensionError(
+                f"matmul: batch dims of {a.shape} and {b.shape} do not align") from None
 
     def backward(g):
         if a.requires_grad:
@@ -397,6 +408,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate_reduced(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _result(a.data @ b.data, (a, b), backward)
+
+
+def linear(w: Tensor, x: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """w @ x + b, then max(., 0) when ``relu``, as one tape node:
+    w [d_out, d_in], x [..., d_in, N], b [d_out, 1].
+
+    The bias is added into the product in place and the ReLU applied in
+    place, so the tape keeps the output and, with ``relu``, a bool mask,
+    not the product and the pre-activation.  Forward and backward make the
+    numpy calls of matmul, add and relu in their order, so values and
+    gradients are bit for bit those of the composed chain.
+    """
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-2] != w.shape[1] \
+            or b.shape != (w.shape[0], 1):
+        raise DimensionError(f"linear: need w [d_out, d_in], x [..., d_in, N] and "
+                             f"b [d_out, 1], got {w.shape}, {x.shape} and {b.shape}")
+    out = w.data @ x.data
+    out += b.data
+    mask = None
+    if relu:
+        mask = out > 0
+        out *= mask
+
+    def backward(g):
+        if mask is not None:
+            g = g * mask
+        _accumulate_reduced(b, g, fresh=False)
+        if w.requires_grad:
+            _accumulate_reduced(w, g @ np.swapaxes(x.data, -1, -2), fresh=True)
+        if x.requires_grad:
+            _accumulate_reduced(x, np.swapaxes(w.data, -1, -2) @ g, fresh=True)
+
+    return _result(out, (w, x, b), backward)
 
 
 # Scores of one block of (batch x head) slices fit this many bytes, so the
@@ -573,12 +617,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     if x.ndim < 2:
         raise DimensionError(f"layer_norm: need [d, N] input, got {x.shape}")
-    mu = x.data.mean(axis=-2, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = gain.data * xhat + bias.data
+    # xhat = (x - mu) * inv and out = gain * xhat + bias, each written into
+    # a buffer it owns; the products are those of the plain expressions.
+    xhat = x.data - x.data.mean(axis=-2, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-2, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(gain.data, xhat, out=out)
+    out += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -586,10 +632,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             _accumulate_reduced(bias, g, fresh=False)
         if x.requires_grad:
+            # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv, for gx = g * gain
             gx = g * gain.data
-            term = gx - gx.mean(axis=-2, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-2, keepdims=True)
-            _accumulate(x, term * inv, owned=True)
+            term = np.multiply(gx, xhat)
+            m2 = term.mean(axis=-2, keepdims=True)
+            gx -= gx.mean(axis=-2, keepdims=True)
+            gx -= np.multiply(xhat, m2, out=term)
+            gx *= inv
+            _accumulate(x, gx, owned=True)
 
     return _result(out, (x, gain, bias), backward)
 
@@ -598,12 +648,17 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
     """Bernoulli mask with 1/(1-p) scaling in train mode; identity in eval."""
     if not train or p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    # The tape keeps the draw as bools; kept / (1 - p) is rebuilt on use.
+    kept = rng.random(x.shape) >= p
 
     def backward(g):
-        _accumulate(x, g * keep, owned=True)
+        scaled = kept / (1.0 - p)
+        scaled *= g
+        _accumulate(x, scaled, owned=True)
 
-    return _result(x.data * keep, (x,), backward)
+    out = kept / (1.0 - p)
+    out *= x.data
+    return _result(out, (x,), backward)
 
 
 # -- spatial ops --------------------------------------------------------------
@@ -631,7 +686,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if Ho <= 0 or Wo <= 0:
         raise DimensionError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = x.data
     else:
         xp = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -688,12 +744,47 @@ def upsample2x_bilinear(x: Tensor) -> Tensor:
             return
         acc = np.zeros_like(x.data).reshape(-1, H, W)
         gflat = g.reshape(-1, 2 * H, 2 * W)
-        for yy, xx, ww in ((iy0, ix0, w00), (iy0, ix1, w01),
-                           (iy1, ix0, w10), (iy1, ix1, w11)):
-            np.add.at(acc, (slice(None), yy[:, None], xx[None, :]), gflat * ww)
+        # Runs in source order give each input pixel its terms in the
+        # (corner, output row, output column) order of np.add.at, the
+        # reference in the tests, so the two agree bitwise.
+        rows0, rows1, cols0, cols1 = map(_scatter_runs, (iy0, iy1, ix0, ix1))
+        for rows, cols, ww in ((rows0, cols0, w00), (rows0, cols1, w01),
+                               (rows1, cols0, w10), (rows1, cols1, w11)):
+            terms = gflat * ww
+            for src_y, dst_y in rows:
+                for src_x, dst_x in cols:
+                    acc[:, dst_y, dst_x] += terms[:, src_y, src_x]
         _accumulate(x, acc.reshape(x.shape), owned=True)
 
     return _result(out, (x,), backward)
+
+
+def _scatter_runs(index: np.ndarray) -> list:
+    """Strided (source slice, destination slice) runs covering ``index``, a
+    non-decreasing map from source to destination positions.
+
+    A source's rank is its place among its destination's sources.  Runs
+    are listed by rank and hold one rank each, so their destinations are
+    distinct, and adding the runs in list order adds every destination's
+    sources in ascending order."""
+    rank = np.arange(len(index)) - np.searchsorted(index, index)
+    runs = []
+    for r in range(rank.max() + 1):
+        src = np.flatnonzero(rank == r)
+        dst = index[src]
+        start = 0
+        while start < len(src):
+            end = start + 1              # one past the run's last element
+            step_s = step_d = 1
+            if end < len(src):
+                step_s, step_d = src[end] - src[start], dst[end] - dst[start]
+                while end < len(src) and src[end] - src[end - 1] == step_s \
+                        and dst[end] - dst[end - 1] == step_d:
+                    end += 1
+            runs.append((slice(src[start], src[end - 1] + 1, step_s),
+                         slice(dst[start], dst[end - 1] + 1, step_d)))
+            start = end
+    return runs
 
 
 def _linear_idx(n: int):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from setdet import tensor as T
+from setdet.data import TRAIN_NAMESPACE, build_dataset
 from setdet.detector import (
     CheckpointError,
     Detection,
@@ -16,6 +17,7 @@ from setdet.layers import ConfigError, MultiHeadAttention
 from setdet.matching import LossWeights, TargetSet, dice_loss, total_loss
 from setdet.segmentation import MaskHead
 from setdet.tensor import DimensionError, Tensor, grad_check
+from setdet.training import TrainConfig
 
 TINY = dict(d=8, num_heads=2, enc_layers=1, dec_layers=2, num_queries=3,
             num_classes=2, ffn_width=16, backbone_channels=(4, 6, 8),
@@ -25,6 +27,39 @@ TINY = dict(d=8, num_heads=2, enc_layers=1, dec_layers=2, num_queries=3,
 def tiny_model(seed=0, **overrides):
     cfg = ModelConfig(**{**TINY, **overrides})
     return Detector(cfg, np.random.default_rng(seed))
+
+
+def tape_nodes(roots):
+    """Every recorded node reachable from ``roots`` through ``_parents``."""
+    nodes, seen, stack = [], set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def op_name(node):
+    return node._backward.__qualname__.split(".")[0]      # "linear.<locals>.backward"
+
+
+def tape_bytes(root):
+    """Bytes the tape under ``root`` keeps alive: each node's output and the
+    arrays its backward closure holds, directly or through a Tensor, with
+    each base array counted once."""
+    held = {}
+    for node in tape_nodes([root]):
+        cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+        for value in [node.data] + cells:
+            value = value.data if isinstance(value, Tensor) else value
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                held[id(value)] = value.nbytes
+    return sum(held.values())
 
 
 class TestConfig:
@@ -112,6 +147,40 @@ class TestForward:
         model.forward(np.random.default_rng(6).random((2, 3, 16, 16)))
         # encoder self-attention, then decoder self- and cross-attention
         assert calls == [(2, 2)] * (enc + 2 * dec)
+
+    @pytest.mark.parametrize("enc,dec", [(1, 2), (2, 1)])
+    def test_one_linear_node_per_projection_and_head_layer(self, enc, dec):
+        model = tiny_model(enc_layers=enc, dec_layers=dec)
+        out = model.forward(np.random.default_rng(6).random((2, 3, 16, 16)), train=True,
+                            rng=np.random.default_rng(7))
+        nodes = tape_nodes([t for layer in out.layers for t in (layer.class_logits,
+                                                                 layer.boxes)])
+        names = [op_name(n) for n in nodes]
+        # q, k, v and output projections of every attention, two FFN layers
+        # per layer, and the class head and three box layers per decoder layer
+        assert names.count("linear") == 4 * (enc + 2 * dec) + 2 * (enc + dec) + 4 * dec
+        assert names.count("relu") == len(TINY["backbone_channels"])
+        assert all(op_name(p) == "conv2d" for n in nodes if op_name(n) == "relu"
+                   for p in n._parents)
+        biases = {id(p.tensor) for p in model.parameters() if p.name.endswith("bias")}
+
+        def is_bias(t):            # a bias parameter, or one reshaped for a projection
+            if t._backward is not None and op_name(t) == "reshape":
+                t = t._parents[0]
+            return id(t) in biases
+
+        assert not any(is_bias(p) for n in nodes if op_name(n) == "add" for p in n._parents)
+
+    def test_default_train_step_tape_bytes(self):
+        cfg = TrainConfig(seed=3)
+        samples = build_dataset(cfg.data, cfg.batch_size, TRAIN_NAMESPACE, cfg.seed)
+        model = Detector(cfg.model, np.random.default_rng(cfg.seed))
+        out = model.forward(np.stack([s.image for s in samples]), train=True,
+                            rng=np.random.default_rng(4))
+        loss, _ = total_loss(out.layers, [s.targets for s in samples], cfg.loss)
+        # 65.1 MB measured once the Linear layers became one node each
+        # (86.2 MB with separate matmul, bias add and ReLU nodes)
+        assert tape_bytes(loss) < 68e6
 
     def test_class_probabilities_sum_to_one(self):
         model = tiny_model()

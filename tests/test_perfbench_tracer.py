@@ -23,7 +23,8 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
     bench = importlib.import_module("run")
 
     assert set(bench.TOP_OPS) <= set(tracing.tensor_ops())
-    assert "attention" in tracing.tensor_ops()      # traced runs time the fused op
+    assert "attention" in tracing.tensor_ops()      # traced runs time the fused ops
+    assert "linear" in tracing.tensor_ops()
     tracer = tracing.Tracer()
     tracer.install()         # raises if a FUNCTIONS or METHODS name is gone
     tracer.uninstall()

@@ -224,7 +224,77 @@ def test_grad_populated_once_per_leaf():
     np.testing.assert_allclose(x.grad, [39.0])
 
 
+def formula_layer_norm(x, gain, bias, eps=1e-5):
+    """``T.layer_norm`` as plain expressions, one fresh array per step: the
+    reference its output and gradients must equal bit for bit."""
+    mu = x.data.mean(axis=-2, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-2, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = gain.data * xhat + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            T._accumulate_reduced(gain, g * xhat, fresh=True)
+        if bias.requires_grad:
+            T._accumulate_reduced(bias, g, fresh=False)
+        if x.requires_grad:
+            gx = g * gain.data
+            term = gx - gx.mean(axis=-2, keepdims=True) \
+                - xhat * (gx * xhat).mean(axis=-2, keepdims=True)
+            T._accumulate(x, term * inv, owned=True)
+
+    return T._result(out, (x, gain, bias), backward)
+
+
+def op_run(fn, arrays, **kwargs):
+    """Forward without recording, forward with recording, and the gradient of
+    every argument of a generic scalar of the recorded output."""
+    with T.no_grad():
+        plain = fn(*map(Tensor, arrays), **kwargs).data
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves, **kwargs)
+    T.tsum(out * Tensor(np.random.default_rng(0).normal(size=out.shape))).backward()
+    return [plain, out.data] + [t.grad for t in leaves]
+
+
+def assert_bitwise(got, want, names):
+    for name, g, w in zip(names, got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(16, 64, 64), (16, 64, 10), (1, 64, 225), (5, 3)])
+    def test_bitwise_equal_to_formula(self, shape):
+        rng = np.random.default_rng(17)
+        d = shape[-2]
+        arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, (d, 1)),
+                  rng.uniform(-0.5, 0.5, (d, 1))]
+        want = op_run(formula_layer_norm, arrays)
+        got = op_run(T.layer_norm, arrays)
+        assert_bitwise(got, want, ("no_grad", "forward", "dx", "dgain", "dbias"))
+
+    def test_forward_and_backward_write_into_owned_arrays(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(16, 64, 64)), requires_grad=True)
+        gain, bias = (Tensor(rng.normal(size=(64, 1)), requires_grad=True) for _ in range(2))
+        upstream = rng.normal(size=x.shape)
+        tracemalloc.start()
+        try:
+            out = T.layer_norm(x, gain, bias)
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out._backward(upstream)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # forward: xhat and the output, where the plain expressions peak at
+        # four [16,64,64] arrays; backward: g * gain and one term, where
+        # they peak at three
+        assert forward_peak < 2.5 * x.data.nbytes
+        assert backward_peak < 2.5 * x.data.nbytes
+
     def test_constant_column_zeroed(self):
         x = Tensor(np.full((3, 2), 5.0))
         g = Tensor(np.ones((3, 1)))
@@ -441,6 +511,32 @@ class TestUpsample:
         x = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
         assert grad_check(lambda t: scalarize(T.upsample2x_bilinear(t)), x, eps=1e-5) <= 1e-5
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1), (2, 1, 5), (3, 2, 2),
+                                       (2, 4, 7, 6), (2, 10, 8, 8), (2, 6, 15, 15)])
+    def test_x_gradient_bitwise_matches_add_at(self, shape):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=shape[:-2] + (2 * shape[-2], 2 * shape[-1]))
+        T.tsum(T.upsample2x_bilinear(x) * Tensor(g)).backward()
+        want = add_at_upsample_grad(shape, g)
+        assert x.grad.tobytes() == want.tobytes()
+
+
+def add_at_upsample_grad(shape, g):
+    """x-gradient of 2x bilinear upsampling by one np.add.at scatter per
+    corner: the reference the strided backward must equal bit for bit."""
+    H, W = shape[-2:]
+    iy0, iy1, wy = T._linear_idx(H)
+    ix0, ix1, wx = T._linear_idx(W)
+    acc = np.zeros(shape).reshape(-1, H, W)
+    gflat = g.reshape(-1, 2 * H, 2 * W)
+    for yy, xx, ww in ((iy0, ix0, (1 - wy)[:, None] * (1 - wx)[None, :]),
+                       (iy0, ix1, (1 - wy)[:, None] * wx[None, :]),
+                       (iy1, ix0, wy[:, None] * (1 - wx)[None, :]),
+                       (iy1, ix1, wy[:, None] * wx[None, :])):
+        np.add.at(acc, (slice(None), yy[:, None], xx[None, :]), gflat * ww)
+    return acc.reshape(shape)
+
 
 class TestDropout:
     def test_eval_identity(self):
@@ -461,6 +557,88 @@ class TestDropout:
         out = T.dropout(x, 0.5, np.random.default_rng(3), train=True)
         T.tsum(out).backward()
         np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0)
+
+    @pytest.mark.parametrize("shape,p", [((16, 64, 64), 0.1), ((16, 64, 10), 0.1),
+                                         ((3, 7), 0.5)])
+    def test_bitwise_equal_to_float_mask(self, shape, p):
+        def float_mask(x, p, rng, train):
+            keep = (rng.random(x.shape) >= p) / (1.0 - p)
+
+            def backward(g):
+                T._accumulate(x, g * keep, owned=True)
+
+            return T._result(x.data * keep, (x,), backward)
+
+        x = np.random.default_rng(21).normal(size=shape)
+        runs = [op_run(fn, [x], p=p, rng=np.random.default_rng(5), train=True)
+                for fn in (float_mask, T.dropout)]
+        # each run draws its no_grad mask first, then the recorded one
+        assert_bitwise(runs[1], runs[0], ("no_grad", "forward", "dx"))
+
+    def test_tape_keeps_bool_draw(self):
+        x = Tensor(np.ones((4, 50)), requires_grad=True)
+        out = T.dropout(x, 0.1, np.random.default_rng(6), train=True)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        masks = [a for a in held if isinstance(a, np.ndarray)]
+        assert [m.dtype for m in masks] == [np.bool_]
+
+
+def composed_linear(w, x, b, relu=False):
+    """The chain ``T.linear`` replaced, one tape node per step: the
+    reference its output and gradients must equal bit for bit."""
+    out = T.matmul(w, x) + b
+    return T.relu(out) if relu else out
+
+
+# (w, x) at the default model: projections, FFN, class and box heads over
+# encoder tokens and decoder slots, and a 1-image 120px request
+LINEAR_SHAPES = [((64, 64), (16, 64, 64)), ((256, 64), (16, 64, 64)),
+                 ((64, 256), (16, 256, 10)), ((4, 64), (16, 64, 10)),
+                 ((64, 64), (1, 64, 225)), ((3, 5), (5, 1)), ((4, 3), (2, 3, 1))]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("w_shape,x_shape", LINEAR_SHAPES)
+    def test_bitwise_equal_to_composed_chain(self, w_shape, x_shape, relu):
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=w_shape), rng.normal(size=x_shape),
+                  rng.normal(size=(w_shape[0], 1))]
+        want = op_run(composed_linear, arrays, relu=relu)
+        got = op_run(T.linear, arrays, relu=relu)
+        assert_bitwise(got, want, ("no_grad", "forward", "dw", "dx", "db"))
+
+    def test_operand_without_gradient_gets_none(self):
+        rng = np.random.default_rng(9)
+        w, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 1)))
+        x = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        T.tsum(T.linear(w, x, b, relu=True)).backward()
+        assert w.grad is None and b.grad is None and x.grad.shape == x.shape
+
+    def test_tape_keeps_output_and_bool_mask(self):
+        rng = np.random.default_rng(10)
+        w, x, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((6, 4), (2, 4, 5), (6, 1)))
+        out = T.linear(w, x, b, relu=True)
+        assert out._parents == (w, x, b)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.bool_]
+        assert (out.data >= 0).all()
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4), (2, 5, 6), (3, 1)),        # inner dims differ
+        ((3, 4), (2, 4, 6), (4, 1)),        # bias rows differ from d_out
+        ((3, 4), (2, 4, 6), (3,)),          # bias is not a column
+        ((2, 3, 4), (2, 4, 6), (3, 1)),     # stacked weight
+        ((3, 4), (4,), (3, 1)),             # x has no [d_in, N] axes
+    ])
+    def test_shapes_checked(self, shapes):
+        w, x, b = (Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(DimensionError, match="^linear: need w") as exc:
+            T.linear(w, x, b)
+        for s in shapes:
+            assert str(s) in str(exc.value)
 
 
 def composed_attention(q, k, v, scale):
@@ -618,6 +796,11 @@ def test_multiply_counter_counts_matmul_only():
         T.attention(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((2, 3, 4, 7))),
                     Tensor(np.ones((2, 3, 4, 7))), 0.5)
     assert c.count == 2 * 6 * 4 * 5 * 7 and T.attention is attention
+    linear = T.linear
+    with count_matmul_multiplies() as c:       # W·x over a batch of 2; not the bias
+        T.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))),
+                 Tensor(np.ones((3, 1))), relu=True)
+    assert c.count == 2 * 3 * 4 * 5 and T.linear is linear
 
 
 def test_no_grad_suppresses_tape():
