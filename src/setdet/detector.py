@@ -387,3 +387,4 @@ def load_checkpoint(module, path: str):
     check_arrays(arrays, {p.name: p.tensor.data.shape for p in params}, path)
     for p in params:
         p.tensor.data = arrays[p.name]
+        p.tensor._version += 1      # backward closures read .data when they run

@@ -6,6 +6,14 @@ closures; calling ``backward()`` on a scalar walks the tape once in
 reverse topological order and accumulates gradients additively into
 every leaf that has ``requires_grad`` set.
 
+The walk frees the tape as it goes: once a node's closure has run, the
+node drops its closure, its parent links and its gradient, so a train
+step peaks at its forward tape.  Only the leaves and the root keep a
+gradient.  A graph can be walked once; ``backward()`` raises
+``TapeError`` before it writes any gradient when the graph reaches a node
+an earlier walk freed, when a tensor the tape read was written in place
+since (``Tensor._version``), or when the output has no tape at all.
+
 Broadcasting is deliberately restricted: two shapes may combine only if
 they are equal, one of them is scalar, or one of them broadcasts to the
 other (trailing-dim alignment).  Shape mixes that would produce a third
@@ -38,6 +46,16 @@ class EvaluationError(RuntimeError):
     """Raised when a checked function produces non-finite output."""
 
 
+class TapeError(RuntimeError):
+    """Raised when ``backward()`` cannot walk a tape: the output has none,
+    an earlier walk freed it, or ``tensor`` (when set) was written in place
+    after the forward pass recorded it."""
+
+    def __init__(self, message: str, tensor: Tensor | None = None):
+        super().__init__(message)
+        self.tensor = tensor
+
+
 class _GradMode(threading.local):
     enabled = True          # every thread starts with recording on
 
@@ -63,14 +81,18 @@ def no_grad():
 class Tensor:
     """N-dimensional float64 array with an optional gradient record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    # _version counts in-place writes of ``data``; a recorded node keeps
+    # its parents' versions in _versions, for backward to compare.
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_versions",
+                 "_backward", "_version")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
+        self._parents = self._versions = ()
         self._backward = None
+        self._version = 0
 
     @property
     def shape(self) -> tuple:
@@ -92,10 +114,22 @@ class Tensor:
 
     def backward(self):
         """Backpropagate from a scalar, filling ``grad`` on every
-        requires_grad leaf reachable through the tape."""
+        requires_grad leaf reachable through the tape.
+
+        The walk frees the graph: each interior node loses its gradient,
+        closure and parent links once its closure has run, and only the
+        leaves and this root keep ``grad``.  Raises ``TapeError``, before
+        any gradient is written, when this tensor has no tape (it was
+        computed under ``no_grad`` or from constants), when the graph
+        reaches a node an earlier ``backward()`` walked, or when a tensor
+        the tape read was written in place after the forward pass.
+        """
         if self.data.size != 1:
             raise DimensionError(
                 f"backward() requires a scalar output, got shape {self.shape}")
+        if not self.requires_grad:
+            raise TapeError("backward() on a tensor with no tape: it was computed "
+                            "under no_grad or from constants only")
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -107,14 +141,29 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._backward is _spent:
+                raise TapeError("backward() reached a node whose tape an earlier "
+                                "backward() freed; a graph can be walked once, so "
+                                "run the forward pass again")
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, version in zip(node._parents, node._versions):
+                if parent._version != version:
+                    raise TapeError(
+                        f"a tensor of shape {parent.shape} was written in place "
+                        f"(version {version} -> {parent._version}) after the "
+                        "forward pass recorded it; run the forward pass again",
+                        parent)
                 if parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
+                node._backward = _spent
+                node._parents = node._versions = ()
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -177,6 +226,11 @@ class Parameter:
         self.tensor.requires_grad = True
 
 
+def _spent(grad):
+    """The closure of a node that ``backward()`` has walked and freed."""
+    raise TapeError("this node's tape was freed by an earlier backward()")
+
+
 def _const(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
@@ -187,6 +241,7 @@ def _result(data, parents, backward) -> Tensor:
     if _GRAD.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+        out._versions = tuple(p._version for p in parents)
         out._backward = backward
     return out
 

@@ -181,6 +181,7 @@ class AdamW:
                 if self.weight_decay:
                     p.tensor.data *= 1.0 - lr * self.weight_decay
                 p.tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                p.tensor._version += 1      # a tape recorded before now is stale
 
     def save(self, path: str):
         arrays = {"step": np.float64(self.step_count).reshape(())}

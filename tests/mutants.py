@@ -1,0 +1,151 @@
+"""Mutation check: each listed mutant of ``src`` must fail its named tests.
+
+    python3 tests/mutants.py [mutant name ...]
+
+Each entry of ``MUTANTS`` is a file under ``src/setdet``, an exact source
+snippet that must occur in it once, its replacement, and the test ids that
+must fail once the snippet is replaced.  The script copies ``src``,
+``tests`` and ``pyproject.toml`` to a temporary directory and runs every
+named test there once unmutated, which must pass.  Then, for each mutant,
+it patches the copy, runs only that mutant's tests, and restores the file.
+It reports each mutant as killed or survived and exits 1 when one survives,
+or when a snippet is no longer found exactly once, so the list must follow
+a refactor of the code it names.  With names given, only those mutants
+run.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/setdet, snippet, replacement, test ids that must fail)
+MUTANTS = (
+    ("matcher takes IoU > threshold, not >=", "evaluation.py",
+     "hit = (took[i] < 0) & (top >= thresholds)",
+     "hit = (took[i] < 0) & (top > thresholds)",
+     ["tests/test_evaluation.py::TestGreedyMatch::test_against_per_threshold_loop"]),
+    ("ranking by confidence is not stable on ties", "evaluation.py",
+     'rank = np.argsort(-scores, kind="stable")',
+     'rank = np.argsort(-scores, kind="quicksort")',
+     ["tests/test_evaluation.py::TestFrozenReports"]),
+    ("outcomes are read back without the confidence rank", "evaluation.py",
+     "outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]",
+     "outcomes = outcomes.transpose(1, 0, 2)[:, det_real]",
+     ["tests/test_evaluation.py::TestFrozenReports"]),
+    ("conv2d x-gradient adds its taps in ascending order", "tensor.py",
+     "            for uy in range(kh - 1, -1, -1):\n"
+     "                for ux in range(kw - 1, -1, -1):\n",
+     "            for uy in range(kh):\n"
+     "                for ux in range(kw):\n",
+     ["tests/test_tensor.py::TestConv2d::test_x_gradient_bitwise_matches_scatter"]),
+    ("chunked forward returns chunks as they complete", "training.py",
+     "return list(pool.map(run, chunks))",
+     "return [f.result() for f in __import__('concurrent.futures').futures"
+     ".as_completed([pool.submit(run, c) for c in chunks])]",
+     ["tests/test_training.py::TestPredictBatch"]),
+    ("padded IoU pairs are not masked to -1", "evaluation.py",
+     "ious = np.where(det_real[:, :, None] & gt_real[:, None, :], "
+     "iou_matrix(dets, gts), -1.0)",
+     "ious = iou_matrix(dets, gts)",
+     ["tests/test_evaluation.py::TestBatchedClassAp::test_ragged_edge_cases_equal_per_image"]),
+    ("mask rows lack the b*N offset of their image", "training.py",
+     "rows = np.concatenate([b * n_slots + slot_of_target[i]",
+     "rows = np.concatenate([slot_of_target[i]",
+     ["tests/test_panoptic_parity.py::test_trained_head_parameters"]),
+    ("train() does not zero the gradients", "training.py",
+     "            model.zero_grad()\n"
+     "            out = model.forward(images, train=True, rng=rng_step)\n",
+     "            out = model.forward(images, train=True, rng=rng_step)\n",
+     ["tests/test_training.py::TestTrainLoop::test_metrics_equal_the_recorded_run"]),
+    ("attention softmax without the max subtraction", "tensor.py",
+     "        p -= p.max(axis=-1, keepdims=True)\n",
+     "",
+     ["tests/test_tensor.py::TestAttention"]),
+    ("linear adds the bias after the ReLU", "tensor.py",
+     "    out = w.data @ x.data\n"
+     "    out += b.data\n"
+     "    mask = None\n"
+     "    if relu:\n"
+     "        mask = out > 0\n"
+     "        out *= mask\n",
+     "    out = w.data @ x.data\n"
+     "    mask = None\n"
+     "    if relu:\n"
+     "        mask = out > 0\n"
+     "        out *= mask\n"
+     "    out += b.data\n",
+     ["tests/test_tensor.py::TestLinear"]),
+    ("dropout backward drops the 1/(1-p) scale", "tensor.py",
+     "        scaled = kept / (1.0 - p)\n        scaled *= g\n",
+     "        scaled = kept * 1.0\n        scaled *= g\n",
+     ["tests/test_tensor.py::TestDropout"]),
+    ("backward keeps a walked node's parents", "tensor.py",
+     "                node._parents = node._versions = ()\n",
+     "                node._versions = ()\n",
+     ["tests/test_tape.py::TestFreeingWalk::test_default_step_keeps_only_leaf_and_root_gradients",
+      "tests/test_tape.py::TestFreeingWalk::test_default_step_peaks_at_its_tape_and_frees_it"]),
+    ("backward marks no walked node as spent", "tensor.py",
+     "                node._backward = _spent\n",
+     "                node._backward = None\n",
+     ["tests/test_tape.py::TestRefusedWalks::test_second_walk",
+      "tests/test_tape.py::TestRefusedWalks::test_new_loss_on_spent_node"]),
+    ("AdamW.step does not bump the version it writes", "training.py",
+     "                p.tensor._version += 1",
+     "                pass",
+     ["tests/test_tape.py::TestInPlaceWrites::test_adamw_step_before_backward"]),
+)
+
+
+def passes(workdir: Path, tests: list) -> bool:
+    """Run ``tests`` in ``workdir``; True when they all pass."""
+    # -B: no bytecode cache, which a same-size rewrite could leave stale
+    cmd = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=workdir, capture_output=True).returncode == 0
+
+
+def main(names: list) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in chosen}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        every = sorted({t for m in chosen for t in m[4]})
+        if not passes(work, every):
+            print("FAIL the named tests do not all pass on the unmutated source")
+            return 1
+        for name, file, snippet, replacement, tests in chosen:
+            path = work / "src" / "setdet" / file
+            source = path.read_text()
+            if source.count(snippet) != 1:
+                print(f"MISSING {name}: the snippet occurs {source.count(snippet)} "
+                      f"times in {file}")
+                failed = True
+                continue
+            t0 = perf_counter()
+            path.write_text(source.replace(snippet, replacement))
+            try:
+                killed = not passes(work, tests)
+            finally:
+                path.write_text(source)
+            print(f"{'killed  ' if killed else 'SURVIVED'} {name} "
+                  f"({perf_counter() - t0:.1f} s)")
+            failed |= not killed
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -30,13 +30,14 @@ def tiny_model(seed=0, **overrides):
 
 
 def tape_nodes(roots):
-    """Every recorded node reachable from ``roots`` through ``_parents``."""
+    """Every recorded node reachable from ``roots`` through ``_parents``
+    that no ``backward()`` has walked yet."""
     nodes, seen, stack = [], set(), list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            if node._backward is not None:
+            if node._backward not in (None, T._spent):
                 nodes.append(node)
             stack.extend(node._parents)
     return nodes

@@ -309,6 +309,18 @@ class TestTrainLoop:
         for pa, pb in zip(r1.model.parameters(), r2.model.parameters()):
             assert (pa.tensor.data == pb.tensor.data).all()
 
+    def test_metrics_equal_the_recorded_run(self, tmp_path):
+        # recorded while backward kept every interior gradient and closure:
+        # freeing the tape as backward walks it changes no value
+        cfg = tiny_train_config(model=ModelConfig(**{**TINY_MODEL, "dropout": 0.1}))
+        result = train(cfg, str(tmp_path / "run"))
+        assert open(result.metrics_csv).read() == (
+            "epoch,loss,class_loss,l1_loss,giou_loss,val_ap50,val_ap\n"
+            "1,15.21430972489841,2.9226367983888375,8.661522320305334,"
+            "3.6301506062042375,0.0,0.0\n"
+            "2,15.69696481171071,2.8961160642963555,9.134770720140677,"
+            "3.666078027273679,0.0,0.0\n")
+
     def test_loss_decreases(self, tmp_path):
         cfg = tiny_train_config(epochs=8, lr_drop_epoch=7, train_size=16)
         result = train(cfg, str(tmp_path / "run"))
