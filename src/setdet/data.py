@@ -6,6 +6,14 @@ background bands.  Boxes tightly bound each object's own rasterized
 extent; per-object masks keep only the visible (un-occluded) pixels.
 Generation is a pure function of the supplied RNG, so datasets are
 reproducible bit-for-bit from (seed, index).
+
+A scene is flat colours, so it is stored as in the COCO panoptic format:
+one palette index per pixel (``Sample.labels``, the smallest unsigned
+dtype that fits) and one colour per index (``Sample.palette``, [3, L]).
+Each band and each object owns one index, so an object's visible mask is
+the set of pixels that hold its index.  The image and the masks are
+computed from these on each read; a 64x64 scene with its stuff map takes
+about 8 KB instead of the 128 KB of a float64 image and stuff map.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching import TargetSet
+from .tensor import DimensionError
 
 IMAGE_MAGIC = b"SIMG"
 
@@ -89,13 +98,81 @@ class SyntheticConfig:
 
 @dataclass
 class Sample:
-    """One scene: image in [0,1], targets, and panoptic ground truth."""
+    """One scene: a palette index per pixel, targets, and panoptic ground truth.
 
-    image: np.ndarray                 # [3, H, W]
+    ``image`` and ``masks`` are computed from ``labels`` on each read, so
+    each read returns a fresh array and writing into it changes nothing.
+    ``mask_labels`` holds the palette index of each target's visible
+    region; it is None for a box-only sample, whose ``masks`` is then
+    None.  ``Sample.from_image`` encodes any dense image exactly.
+    """
+
+    labels: np.ndarray                # [H, W] unsigned palette index per pixel
+    palette: np.ndarray               # [3, L] float64 colour per index
     targets: TargetSet
-    masks: np.ndarray | None = None   # [m, H, W] bool, visible pixels only
-    stuff_map: np.ndarray | None = None  # [H, W] stuff class id per pixel
+    mask_labels: np.ndarray | None = None  # [m] palette index of each target
+    stuff_map: np.ndarray | None = None    # [H, W] stuff class id per pixel
     seed: int | None = None
+
+    def __post_init__(self):
+        self.labels = labels = np.asarray(self.labels)
+        self.palette = palette = np.ascontiguousarray(self.palette)
+        if labels.ndim != 2:
+            raise DimensionError(f"labels must be [H, W], got shape {labels.shape}")
+        if labels.dtype.kind != "u":
+            raise ValueError(f"labels must be unsigned integers, got {labels.dtype}")
+        if palette.ndim != 2 or palette.shape[0] != 3:
+            raise DimensionError(f"palette must be [3, L], got shape {palette.shape}")
+        if palette.dtype != np.float64:
+            raise ValueError(f"palette must be float64, got {palette.dtype}")
+        if not np.isfinite(palette).all():
+            raise ValueError("palette holds a non-finite colour")
+        size = palette.shape[1]
+        if labels.size and labels.max() >= size:
+            raise ValueError(f"labels hold index {labels.max()}, the palette has "
+                             f"{size} colours")
+        if self.mask_labels is not None:
+            self.mask_labels = mask_labels = np.asarray(self.mask_labels)
+            if mask_labels.ndim != 1 or len(mask_labels) != len(self.targets):
+                raise ValueError(f"mask_labels must hold one index per target "
+                                 f"({len(self.targets)}), got shape {mask_labels.shape}")
+            if len(mask_labels) and (mask_labels.dtype.kind not in "ui" or not
+                                     0 <= mask_labels.min() <= mask_labels.max() < size):
+                raise ValueError(f"mask_labels {mask_labels.tolist()} are not indices "
+                                 f"into the palette's {size} colours")
+        if self.stuff_map is not None and self.stuff_map.shape != labels.shape:
+            raise DimensionError(f"stuff_map has shape {self.stuff_map.shape}, "
+                                 f"labels {labels.shape}")
+
+    @property
+    def image(self) -> np.ndarray:
+        """[3, H, W] float64, C-contiguous and fresh on each read."""
+        return np.take(self.palette, self.labels, axis=1)
+
+    @property
+    def masks(self) -> np.ndarray | None:
+        """[m, H, W] bool, the visible pixels of each target, or None."""
+        if self.mask_labels is None:
+            return None
+        return self.labels[None] == self.mask_labels[:, None, None]
+
+    @classmethod
+    def from_image(cls, image: np.ndarray, targets: TargetSet) -> "Sample":
+        """A box-only sample of a dense [3, H, W] image, which ``image``
+        reads back bit for bit."""
+        image = np.ascontiguousarray(image, dtype=np.float64)
+        if image.ndim != 3 or image.shape[0] != 3:
+            raise DimensionError(f"image must be [3, H, W], got shape {image.shape}")
+        # unique over the bit patterns, so that -0.0 and 0.0 stay apart
+        colours, inverse = np.unique(image.reshape(3, -1).view(np.uint64), axis=1,
+                                     return_inverse=True)
+        labels = inverse.reshape(image.shape[1:]).astype(_index_dtype(colours.shape[1]))
+        return cls(labels=labels, palette=colours.view(np.float64), targets=targets)
+
+
+def _index_dtype(size: int) -> np.dtype:
+    """Smallest unsigned dtype that holds the indices 0..size-1."""
+    return np.min_scalar_type(max(size - 1, 0))
 
 
 def _pixel_grid(side: int):
@@ -140,32 +217,33 @@ def _extent_box(mask: np.ndarray) -> np.ndarray:
     ])
 
 
-def _background(cfg: SyntheticConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+def _background(cfg: SyntheticConfig, rng) -> tuple[np.ndarray, list]:
+    """Band index per pixel (uint8) and one colour per band."""
     side = cfg.image_side
-    image = np.zeros((3, side, side))
-    stuff_map = np.zeros((side, side), dtype=np.int64)
     jitter = cfg.color_jitter
 
     def color(base):
         return np.clip(base + rng.uniform(-jitter, jitter, 3), 0.0, 1.0)
 
+    bands = np.zeros((side, side), dtype=np.uint8)
     if cfg.stuff_classes == 1:
-        image[:] = color(_STUFF_COLORS[0])[:, None, None]
-        stuff_map[:] = cfg.num_classes
-    else:
-        split = int(rng.integers(side // 3, 2 * side // 3))
-        image[:, :split, :] = color(_STUFF_COLORS[0])[:, None, None]
-        image[:, split:, :] = color(_STUFF_COLORS[1])[:, None, None]
-        stuff_map[:split, :] = cfg.num_classes
-        stuff_map[split:, :] = cfg.num_classes + 1
-    return image, stuff_map
+        return bands, [color(_STUFF_COLORS[0])]
+    split = int(rng.integers(side // 3, 2 * side // 3))
+    bands[split:, :] = 1
+    return bands, [color(_STUFF_COLORS[0]), color(_STUFF_COLORS[1])]
 
 
 def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator) -> Sample:
-    """Render one scene; raises GenerationError after 100 failed placements."""
+    """Render one scene; raises GenerationError after 100 failed placements.
+
+    Each object overwrites the labels under it with its own palette index,
+    so the pixels left holding an index are that object's visible mask.
+    """
     side = cfg.image_side
-    image, stuff_map = _background(cfg, rng)
+    bands, palette = _background(cfg, rng)
+    num_bands = len(palette)
     count = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    labels = bands.astype(_index_dtype(num_bands + count))
     own_masks: list[np.ndarray] = []
     classes: list[int] = []
     boxes: list[np.ndarray] = []
@@ -193,23 +271,20 @@ def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator) -> Sample:
         classes.append(cls)
         boxes.append(_extent_box(mask))
         jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, 3)
-        color = np.clip(_THING_COLORS[cls] + jitter, 0.0, 1.0)
-        image[:, mask] = color[:, None]
+        labels[mask] = len(palette)
+        palette.append(np.clip(_THING_COLORS[cls] + jitter, 0.0, 1.0))
 
-    visible = _visible_masks(own_masks)
+    mask_labels = list(range(num_bands, num_bands + count))
     if cfg.include_stuff_boxes:
-        thing_cover = np.zeros((side, side), dtype=bool)
-        for m in own_masks:
-            thing_cover |= m
-        for stuff_cls in sorted(set(stuff_map.reshape(-1).tolist())):
-            region = stuff_map == stuff_cls
-            classes.append(int(stuff_cls))
-            boxes.append(_extent_box(region))
-            visible.append(region & ~thing_cover)
+        for band in range(num_bands):
+            classes.append(cfg.num_classes + band)
+            boxes.append(_extent_box(bands == band))
+            mask_labels.append(band)          # the band's pixels no object covers
     targets = (TargetSet.create(classes, np.stack(boxes)) if classes
                else TargetSet.empty())
-    masks = np.stack(visible) if visible else np.zeros((0, side, side), dtype=bool)
-    return Sample(image=image, targets=targets, masks=masks, stuff_map=stuff_map)
+    return Sample(labels=labels, palette=np.stack(palette, axis=1), targets=targets,
+                  mask_labels=np.array(mask_labels, dtype=labels.dtype),
+                  stuff_map=bands + np.uint8(cfg.num_classes))
 
 
 def _visibility_ok(own_masks, new_mask, min_visible) -> bool:
@@ -221,15 +296,6 @@ def _visibility_ok(own_masks, new_mask, min_visible) -> bool:
     return True
 
 
-def _visible_masks(own_masks):
-    visible = []
-    cover = None
-    for mask in reversed(own_masks):          # front-most drawn last
-        visible.append(mask if cover is None else mask & ~cover)
-        cover = mask if cover is None else (cover | mask)
-    return list(reversed(visible))
-
-
 def grid_instances_scene(class_id: int, count: int, rng: np.random.Generator,
                          side: int = 120, object_size: float | None = None,
                          num_classes: int = 3) -> Sample:
@@ -238,7 +304,9 @@ def grid_instances_scene(class_id: int, count: int, rng: np.random.Generator,
     Exactly ``count`` of the 100 cells are visible; the object's
     absolute size never changes with the count, so only the instance
     number varies.  ``side`` must be divisible by 10 so every cell gets
-    an identical integer-aligned raster.
+    an identical integer-aligned raster.  Each mask holds its object's
+    visible pixels; cells are drawn in index order, and objects overlap
+    only when ``object_size`` is at least the cell size.
     """
     if not 0 <= count <= 100:
         raise ValueError(f"count must be 0..100, got {count}")
@@ -250,25 +318,24 @@ def grid_instances_scene(class_id: int, count: int, rng: np.random.Generator,
     cell = side // 10
     if object_size is None:
         object_size = max(4, int(0.8 * cell))
-    image = np.zeros((3, side, side))
-    image[:] = _STUFF_COLORS[0][:, None, None]
-    stuff_map = np.full((side, side), num_classes, dtype=np.int64)
+    labels = np.zeros((side, side), dtype=_index_dtype(1 + count))
+    stuff_map = np.full((side, side), num_classes, dtype=_index_dtype(num_classes + 1))
     visible_cells = rng.choice(100, size=count, replace=False)
-    color = _THING_COLORS[class_id]
-    own_masks = []
     boxes = []
     for cell_idx in sorted(visible_cells.tolist()):
         gy, gx = divmod(cell_idx, 10)
         cx = gx * cell + cell // 2
         cy = gy * cell + cell // 2
         mask = _raster(class_id, side, cx, cy, object_size, object_size)
-        own_masks.append(mask)
         boxes.append(_extent_box(mask))
-        image[:, mask] = color[:, None]
+        labels[mask] = len(boxes)
     targets = (TargetSet.create([class_id] * count, np.stack(boxes)) if count
                else TargetSet.empty())
-    masks = np.stack(own_masks) if own_masks else np.zeros((0, side, side), dtype=bool)
-    return Sample(image=image, targets=targets, masks=masks, stuff_map=stuff_map)
+    palette = np.repeat(_THING_COLORS[class_id][:, None], 1 + count, axis=1)
+    palette[:, 0] = _STUFF_COLORS[0]
+    return Sample(labels=labels, palette=palette, targets=targets,
+                  mask_labels=np.arange(1, 1 + count, dtype=labels.dtype),
+                  stuff_map=stuff_map)
 
 
 def scene_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
@@ -327,7 +394,7 @@ class SampleRef:
                 raise AnnotationError(
                     f"record {self.id}: {self.file} is {w}x{h}, the record "
                     f"says {self.width}x{self.height}")
-            return Sample(image=image, targets=self.targets)
+            return Sample.from_image(image, self.targets)
         if self.synthetic_seed is None:
             raise AnnotationError(f"record {self.id} has neither file nor seed")
         seed, ns, idx = _unpack_seed(self.synthetic_seed)
@@ -350,7 +417,7 @@ def save_annotations(samples, path: str, start_id: int = 0):
             else:
                 record["synthetic_seed"] = sample.synthetic_seed
         else:
-            h, w = sample.image.shape[1:]
+            h, w = sample.labels.shape
             record = {"id": start_id + i, "width": w, "height": h,
                       "objects": _objects_json(sample.targets)}
             if sample.seed is not None:

@@ -302,7 +302,7 @@ def evaluate_panoptic(model: Detector, head: MaskHead, samples, num_things: int,
     every image (PQ_st with no stuff segment anywhere) is reported as NaN."""
     check_unit_interval("conf_thresh", conf_thresh)
     for i, s in enumerate(samples):
-        if s.masks is None or s.stuff_map is None:
+        if s.mask_labels is None or s.stuff_map is None:
             raise ValueError(f"sample {i} has no panoptic ground truth (masks and "
                              f"stuff_map); file-backed annotations hold boxes only")
     side = model.config.feature_side
@@ -365,11 +365,11 @@ def _map_chunks(fn, samples) -> list:
     each large product over the cores and spin-waits, and the two kinds of
     threads then compete.  All images must share one shape.
     """
-    shape = samples[0].image.shape if len(samples) else None
-    for i, s in enumerate(samples):
-        if s.image.shape != shape:
-            raise DimensionError(f"sample {i} has image shape {s.image.shape}, "
-                                 f"sample 0 has {shape}")
+    shapes = [(3, *s.labels.shape) for s in samples]    # images are built per chunk
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise DimensionError(f"sample {i} has image shape {shape}, "
+                                 f"sample 0 has {shapes[0]}")
 
     def run(chunk):
         images = np.stack([s.image for s in chunk])

@@ -100,6 +100,22 @@ MUTANTS = (
      "                p.tensor._version += 1",
      "                pass",
      ["tests/test_tape.py::TestInPlaceWrites::test_adamw_step_before_backward"]),
+    ("objects are drawn under earlier ones", "data.py",
+     "        labels[mask] = len(palette)\n",
+     "        labels[mask & (labels < num_bands)] = len(palette)\n",
+     ["tests/test_data.py::TestDenseReference::test_generate_scene"]),
+    ("a stuff box's mask label is off by one", "data.py",
+     "mask_labels.append(band)",
+     "mask_labels.append(band + 1)",
+     ["tests/test_data.py::TestDenseReference::test_generate_scene"]),
+    ("the image is read by fancy indexing, not np.take", "data.py",
+     "return np.take(self.palette, self.labels, axis=1)",
+     "return self.palette[:, self.labels]",
+     ["tests/test_data.py::TestLabelStorage::test_image_is_a_fresh_contiguous_read"]),
+    ("a label equal to the palette size is accepted", "data.py",
+     "if labels.size and labels.max() >= size:",
+     "if labels.size and labels.max() > size:",
+     ["tests/test_data.py::TestMalformedStorage::test_rejected_naming_the_field"]),
 )
 
 

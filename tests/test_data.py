@@ -1,15 +1,21 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from setdet.data import (
+    _STUFF_COLORS,
+    _THING_COLORS,
     AnnotationError,
     Sample,
     SampleRef,
     SyntheticConfig,
     TRAIN_NAMESPACE,
+    _extent_box,
     _pack_seed,
+    _raster,
+    _visibility_ok,
     _unpack_seed,
     build_dataset,
     generate_scene,
@@ -21,6 +27,7 @@ from setdet.data import (
     scene_rng,
 )
 from setdet.matching import TargetSet
+from setdet.tensor import DimensionError
 
 
 class TestGenerateScene:
@@ -85,6 +92,205 @@ class TestGenerateScene:
         sample = generate_scene(cfg, np.random.default_rng(3))
         stuff_ids = set(sample.targets.classes.tolist()) & {3, 4}
         assert stuff_ids == {3, 4}
+
+
+# -- the dense renderer that the label-map renderer replaced, kept as its reference
+
+def dense_background(cfg, rng):
+    side = cfg.image_side
+    image = np.zeros((3, side, side))
+    stuff_map = np.zeros((side, side), dtype=np.int64)
+    jitter = cfg.color_jitter
+
+    def color(base):
+        return np.clip(base + rng.uniform(-jitter, jitter, 3), 0.0, 1.0)
+
+    if cfg.stuff_classes == 1:
+        image[:] = color(_STUFF_COLORS[0])[:, None, None]
+        stuff_map[:] = cfg.num_classes
+    else:
+        split = int(rng.integers(side // 3, 2 * side // 3))
+        image[:, :split, :] = color(_STUFF_COLORS[0])[:, None, None]
+        image[:, split:, :] = color(_STUFF_COLORS[1])[:, None, None]
+        stuff_map[:split, :] = cfg.num_classes
+        stuff_map[split:, :] = cfg.num_classes + 1
+    return image, stuff_map
+
+
+def dense_visible_masks(own_masks):
+    visible = []
+    cover = None
+    for mask in reversed(own_masks):          # front-most drawn last
+        visible.append(mask if cover is None else mask & ~cover)
+        cover = mask if cover is None else (cover | mask)
+    return list(reversed(visible))
+
+
+def dense_generate_scene(cfg, rng):
+    """(image, targets, masks, stuff_map) as the dense renderer drew them."""
+    side = cfg.image_side
+    image, stuff_map = dense_background(cfg, rng)
+    count = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    own_masks, classes, boxes = [], [], []
+    for _ in range(count):
+        cls = int(rng.integers(0, cfg.num_classes))
+        for _ in range(100):
+            sx = rng.uniform(*cfg.size_range)
+            sy = rng.uniform(*cfg.size_range)
+            if cls % 3 == 1:
+                sy = sx
+            cx = rng.uniform(sx / 2 + 1.0, side - 1.0 - sx / 2)
+            cy = rng.uniform(sy / 2 + 1.0, side - 1.0 - sy / 2)
+            mask = _raster(cls, side, cx, cy, sx, sy)
+            if mask.any() and _visibility_ok(own_masks, mask, cfg.min_visible):
+                break
+        else:
+            raise AssertionError("the reference scene could not be placed")
+        own_masks.append(mask)
+        classes.append(cls)
+        boxes.append(_extent_box(mask))
+        jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, 3)
+        color = np.clip(_THING_COLORS[cls] + jitter, 0.0, 1.0)
+        image[:, mask] = color[:, None]
+    visible = dense_visible_masks(own_masks)
+    if cfg.include_stuff_boxes:
+        thing_cover = np.zeros((side, side), dtype=bool)
+        for m in own_masks:
+            thing_cover |= m
+        for stuff_cls in sorted(set(stuff_map.reshape(-1).tolist())):
+            region = stuff_map == stuff_cls
+            classes.append(int(stuff_cls))
+            boxes.append(_extent_box(region))
+            visible.append(region & ~thing_cover)
+    targets = (TargetSet.create(classes, np.stack(boxes)) if classes
+               else TargetSet.empty())
+    masks = np.stack(visible) if visible else np.zeros((0, side, side), dtype=bool)
+    return image, targets, masks, stuff_map
+
+
+def dense_grid_scene(class_id, count, rng, side=120):
+    cell = side // 10
+    object_size = max(4, int(0.8 * cell))
+    image = np.zeros((3, side, side))
+    image[:] = _STUFF_COLORS[0][:, None, None]
+    stuff_map = np.full((side, side), 3, dtype=np.int64)
+    visible_cells = rng.choice(100, size=count, replace=False)
+    color = _THING_COLORS[class_id]
+    own_masks, boxes = [], []
+    for cell_idx in sorted(visible_cells.tolist()):
+        gy, gx = divmod(cell_idx, 10)
+        mask = _raster(class_id, side, gx * cell + cell // 2, gy * cell + cell // 2,
+                       object_size, object_size)
+        own_masks.append(mask)
+        boxes.append(_extent_box(mask))
+        image[:, mask] = color[:, None]
+    targets = (TargetSet.create([class_id] * count, np.stack(boxes)) if count
+               else TargetSet.empty())
+    masks = np.stack(own_masks) if own_masks else np.zeros((0, side, side), dtype=bool)
+    return image, targets, masks, stuff_map
+
+
+def assert_equals_dense(sample, dense):
+    image, targets, masks, stuff_map = dense
+    assert sample.image.tobytes() == image.tobytes()
+    assert sample.masks.shape == masks.shape and (sample.masks == masks).all()
+    np.testing.assert_array_equal(sample.stuff_map, stuff_map)
+    assert sample.targets.classes.tobytes() == targets.classes.tobytes()
+    assert sample.targets.boxes.tobytes() == targets.boxes.tobytes()
+
+
+class TestDenseReference:
+    """The label map reads back the dense renderer's scenes bit for bit."""
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"stuff_classes": 2}, {"include_stuff_boxes": True},
+        {"include_stuff_boxes": True, "stuff_classes": 2},
+        {"min_visible": 0.0, "max_objects": 8}], ids=str)
+    def test_generate_scene(self, fields):
+        cfg = SyntheticConfig(**fields)
+        samples = build_dataset(cfg, 24, TRAIN_NAMESPACE, 9)
+        for i, sample in enumerate(samples):
+            assert_equals_dense(sample, dense_generate_scene(
+                cfg, scene_rng(9, TRAIN_NAMESPACE, i)))
+            assert sample.seed == _pack_seed(9, TRAIN_NAMESPACE, i)
+
+    @pytest.mark.parametrize("count", [0, 5, 100])
+    def test_grid_scene(self, count):
+        for seed in range(3):
+            sample = grid_instances_scene(seed % 3, count, np.random.default_rng(seed))
+            assert_equals_dense(sample, dense_grid_scene(seed % 3, count,
+                                                         np.random.default_rng(seed)))
+
+
+class TestLabelStorage:
+    def test_default_train_set_is_small(self):
+        tracemalloc.start()
+        try:
+            samples = build_dataset(SyntheticConfig(), 512, TRAIN_NAMESPACE, 0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 512
+        assert held < 8 * 2**20
+
+    def test_image_is_a_fresh_contiguous_read(self):
+        for sample in (generate_scene(SyntheticConfig(stuff_classes=2), np.random.default_rng(1)),
+                       grid_instances_scene(2, 30, np.random.default_rng(1))):
+            image = sample.image
+            assert image.flags.c_contiguous and image.dtype == np.float64
+            before = image.copy()
+            image[:] = -1.0
+            assert (sample.image == before).all()
+
+    def test_from_image_round_trips_a_raw_file(self, tmp_path):
+        path = str(tmp_path / "scene.simg")
+        save_image_raw(path, build_dataset(SyntheticConfig(), 1, TRAIN_NAMESPACE, 4)[0].image)
+        image = load_image_raw(path)
+        sample = Sample.from_image(image, TargetSet.empty())
+        assert sample.labels.dtype == np.uint8
+        assert sample.image.tobytes() == image.tobytes()
+        assert sample.masks is None and sample.stuff_map is None
+
+    def test_from_image_round_trips_many_colours(self):
+        image = np.random.default_rng(2).random((3, 24, 20))
+        image[:, 0, :2] = [[0.0, -0.0]] * 3           # equal, but not the same bits
+        sample = Sample.from_image(image, TargetSet.empty())
+        assert sample.labels.dtype == np.uint16 and sample.palette.shape == (3, 480)
+        assert sample.image.tobytes() == image.tobytes()
+        assert sample.image.flags.c_contiguous
+
+
+# a 2x3 two-colour sample with one target, whose mask is the colour-1 pixels
+VALID = {"labels": np.array([[0, 1, 1], [0, 0, 1]], dtype=np.uint8),
+         "palette": np.array([[0.1, 0.9]] * 3), "mask_labels": [1],
+         "targets": TargetSet.create([0], [[0.5, 0.5, 0.5, 0.5]]),
+         "stuff_map": np.full((2, 3), 3, dtype=np.uint8)}
+
+
+class TestMalformedStorage:
+    def test_valid_sample_accepted(self):
+        assert Sample(**VALID).masks.tolist() == [[[False, True, True], [False, False, True]]]
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("labels", VALID["labels"][None], DimensionError),
+        ("labels", VALID["labels"].astype(np.int64), ValueError),
+        ("labels", VALID["labels"].astype(np.float64), ValueError),
+        ("labels", np.array([[0, 1, 2], [0, 0, 1]], dtype=np.uint8), ValueError),
+        ("palette", VALID["palette"][:2], DimensionError),
+        ("palette", VALID["palette"][0], DimensionError),
+        ("palette", VALID["palette"].astype(np.float32), ValueError),
+        ("palette", np.array([[0.1, np.nan]] * 3), ValueError),
+        ("mask_labels", [2], ValueError),
+        ("mask_labels", [-1], ValueError),
+        ("mask_labels", [1.0], ValueError),
+        ("mask_labels", [0, 1], ValueError),
+        ("stuff_map", np.full((3, 2), 3, dtype=np.uint8), DimensionError),
+    ], ids=["labels-3d", "labels-signed", "labels-float", "label-index", "palette-shape",
+            "palette-1d", "palette-float32", "palette-nan", "mask-label-index",
+            "mask-label-negative", "mask-label-float", "mask-label-count", "stuff-map-shape"])
+    def test_rejected_naming_the_field(self, field, value, error):
+        with pytest.raises(error, match=f"^{field} "):
+            Sample(**{**VALID, field: value})
 
 
 class TestGridScene:

@@ -533,7 +533,7 @@ class TestPredictBatch:
         monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
         mixed = list(samples)
         for i in (odd, 44):
-            mixed[i] = Sample(image=np.zeros((3, 32, 32)), targets=mixed[i].targets)
+            mixed[i] = Sample.from_image(np.zeros((3, 32, 32)), mixed[i].targets)
         with pytest.raises(DimensionError,
                            match=rf"sample {odd} has image shape \(3, 32, 32\)"):
             predict_batch(model, mixed)
@@ -601,7 +601,7 @@ class TestEvaluateLayers:
         layer scores AP 0."""
         images = build_dataset(SyntheticConfig(**TINY_DATA), 45, VAL_NAMESPACE, 3)
         own = predict_batch(model, images, use_layer=1)
-        return [Sample(image=s.image, targets=TargetSet.create(
+        return [Sample(labels=s.labels, palette=s.palette, targets=TargetSet.create(
                     [d.class_id for d in dets], [d.box for d in dets]))
                 for s, dets in zip(images, own)]
 
@@ -738,8 +738,9 @@ class TestPanopticBatchRank:
     def test_field_nan_in_every_image_is_nan(self, model, head, samples):
         # every pixel belongs to one thing, so no image has a stuff segment
         side = TINY_DATA["image_side"]
-        things = [Sample(image=s.image, targets=TargetSet.create([0], [[0.5, 0.5, 1.0, 1.0]]),
-                         masks=np.ones((1, side, side), dtype=bool), stuff_map=s.stuff_map)
+        things = [Sample(labels=np.zeros((side, side), dtype=np.uint8), palette=s.palette,
+                         targets=TargetSet.create([0], [[0.5, 0.5, 1.0, 1.0]]),
+                         mask_labels=[0], stuff_map=s.stuff_map)
                   for s in samples[:3]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -777,7 +778,7 @@ class TestPanopticBatchRank:
             self, model, head, samples, monkeypatch):
         self.forbid_forward(model, monkeypatch)
         boxes_only = list(samples[:4])
-        boxes_only[2] = Sample(image=samples[2].image, targets=samples[2].targets)
-        boxes_only[3] = Sample(image=samples[3].image, targets=samples[3].targets)
+        boxes_only[2] = Sample(samples[2].labels, samples[2].palette, samples[2].targets)
+        boxes_only[3] = Sample(samples[3].labels, samples[3].palette, samples[3].targets)
         with pytest.raises(ValueError, match="^sample 2 has no panoptic ground truth"):
             evaluate_panoptic(model, head, boxes_only, 2)
