@@ -19,12 +19,12 @@ about 8 KB instead of the 128 KB of a float64 image and stuff map.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import ConfigError, check_bool, check_int, check_real
 from .matching import TargetSet
 from .tensor import DimensionError
 
@@ -63,37 +63,42 @@ class SyntheticConfig:
     size_range: tuple = (10, 26)      # object extent in pixels
     color_jitter: float = 0.10
     stuff_classes: int = 1            # background bands (1 or 2)
-    min_visible: float = 0.30         # occlusion cap
+    # Placing an object must leave each earlier object min_visible of its
+    # area uncovered by the new object alone; objects drawn later can cover
+    # it further, so this is no floor on the share that stays visible.
+    min_visible: float = 0.30
     include_stuff_boxes: bool = False  # emit stuff bands as boxed targets
 
     def __post_init__(self):
         size_range = self.size_range
         if (not isinstance(size_range, (list, tuple)) or len(size_range) != 2
                 or any(type(v) is not int for v in size_range)):
-            raise ValueError(f"size_range must be a pair of ints, got {size_range!r}")
+            raise ConfigError(f"size_range must be a pair of ints, got {size_range!r}")
         object.__setattr__(self, "size_range", tuple(size_range))
-        for name in ("image_side", "num_classes", "min_objects", "max_objects",
-                     "stuff_classes"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if type(self.include_stuff_boxes) is not bool:
-            raise ValueError(f"include_stuff_boxes must be a bool, "
-                             f"got {self.include_stuff_boxes!r}")
-        if type(self.color_jitter) not in (int, float) or not 0 <= self.color_jitter < math.inf:
-            raise ValueError(f"color_jitter must be a finite real >= 0, "
-                             f"got {self.color_jitter!r}")
-        if type(self.min_visible) not in (int, float) or not 0 <= self.min_visible <= 1:
-            raise ValueError(f"min_visible must be a real in [0, 1], got {self.min_visible!r}")
-        if not 1 <= self.stuff_classes <= len(_STUFF_COLORS):
-            raise ValueError(f"stuff_classes must be 1..{len(_STUFF_COLORS)}")
-        if self.num_classes < 1 or self.num_classes > len(_THING_COLORS):
-            raise ValueError(f"num_classes must be 1..{len(_THING_COLORS)}")
-        if self.max_objects < self.min_objects or self.min_objects < 0:
-            raise ValueError("invalid object count range")
-        if self.size_range[0] < 3 or self.size_range[1] > self.image_side // 2:
-            raise ValueError(f"size range {self.size_range} unusable for "
-                             f"side {self.image_side}")
+        check_int("size_range[0]", self.size_range[0], 3)
+        # the largest object must fit in half the image
+        check_int("image_side", self.image_side, 2 * self.size_range[1])
+        for name, low in (("num_classes", 1), ("min_objects", 0),
+                          ("max_objects", self.min_objects), ("stuff_classes", 1)):
+            check_int(name, getattr(self, name), low)
+        check_bool("include_stuff_boxes", self.include_stuff_boxes)
+        check_real("color_jitter", self.color_jitter)
+        check_real("min_visible", self.min_visible, high=1, high_open=False)
+        for name, high in (("stuff_classes", len(_STUFF_COLORS)),
+                           ("num_classes", len(_THING_COLORS))):
+            if getattr(self, name) > high:
+                raise ConfigError(f"{name} must be at most {high}, got {getattr(self, name)}")
+
+    @property
+    def num_target_classes(self) -> int:
+        """Class ids a target can take: the things, then one per stuff band
+        when the bands are boxed targets (band b is class num_classes + b)."""
+        return self.num_classes + self.include_stuff_boxes * self.stuff_classes
+
+    @property
+    def max_targets(self) -> int:
+        """Most targets one scene holds: its objects plus any boxed bands."""
+        return self.max_objects + self.include_stuff_boxes * self.stuff_classes
 
 
 @dataclass

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import ConfigError, Linear, kaiming_uniform, xavier_uniform
+from .layers import (ConfigError, Linear, check_bool, check_int, check_real, kaiming_uniform,
+                     xavier_uniform)
 from .posenc import QUERY_MODES, SPATIAL_MODES, SpatialEncoding, init_object_queries
 from .tensor import DimensionError, Parameter, Tensor
 from .transformer import Decoder, Encoder, zero_queries
@@ -32,8 +33,8 @@ class ModelConfig:
     num_heads: int = 8
     enc_layers: int = 2
     dec_layers: int = 2
-    num_queries: int = 10             # slots N; must cover max objects per image
-    num_classes: int = 3              # thing classes K; no-object is index K
+    num_queries: int = 10             # slots N; must cover the most targets per image
+    num_classes: int = 3              # target classes K; no-object is index K
     ffn_width: int = 256
     dropout: float = 0.1
     backbone_channels: tuple = (16, 32, 64)
@@ -51,29 +52,26 @@ class ModelConfig:
         # an empty encoder is the identity; the heads read the last decoder layer
         lows = {"d": 1, "num_heads": 1, "enc_layers": 0, "dec_layers": 1, "num_queries": 1,
                 "num_classes": 1, "ffn_width": 1, "image_side": 1}
-        named = [(name, getattr(self, name), low) for name, low in lows.items()]
-        named += [(f"backbone_channels[{i}]", c, 1) for i, c in enumerate(self.backbone_channels)]
-        for name, value, low in named:
-            if type(value) is not int or value < low:
-                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
-        if type(self.temperature) not in (int, float) or not 0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be a finite real > 0, got {self.temperature!r}")
-        if type(self.skip_first_self_attention) is not bool:
-            raise ConfigError(f"skip_first_self_attention must be a bool, "
-                              f"got {self.skip_first_self_attention!r}")
+        for name, low in lows.items():
+            check_int(name, getattr(self, name), low)
+        for i, channels in enumerate(self.backbone_channels):
+            check_int(f"backbone_channels[{i}]", channels, 1)
+        check_real("temperature", self.temperature, low_open=True)
+        check_bool("skip_first_self_attention", self.skip_first_self_attention)
         if self.d % self.num_heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by {self.num_heads} heads")
+            raise ConfigError(f"d must be divisible by num_heads={self.num_heads}, got {self.d}")
         if self.d % 4 != 0:
-            raise ConfigError(f"d={self.d} must be divisible by 4 for sine encodings")
+            raise ConfigError(f"d must be divisible by 4 for sine encodings, got {self.d}")
         if self.spatial_encoding not in SPATIAL_MODES:
-            raise ConfigError(f"unknown spatial encoding {self.spatial_encoding!r}")
+            raise ConfigError(f"spatial_encoding must be one of {SPATIAL_MODES}, "
+                              f"got {self.spatial_encoding!r}")
         if self.query_encoding not in QUERY_MODES:
-            raise ConfigError(f"unknown query encoding {self.query_encoding!r}")
+            raise ConfigError(f"query_encoding must be one of {QUERY_MODES}, "
+                              f"got {self.query_encoding!r}")
         if self.image_side % self.stride != 0:
-            raise ConfigError(
-                f"image side {self.image_side} not divisible by stride {self.stride}")
-        if type(self.dropout) not in (int, float) or not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be a real in [0, 1), got {self.dropout!r}")
+            raise ConfigError(f"image_side must be divisible by the backbone stride "
+                              f"{self.stride}, got {self.image_side}")
+        check_real("dropout", self.dropout, high=1)
 
     @property
     def stride(self) -> int:

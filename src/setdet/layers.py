@@ -22,13 +22,41 @@ from .tensor import Parameter, Tensor
 
 
 class ConfigError(ValueError):
-    """Inconsistent model configuration."""
+    """A setting of the wrong type or out of range, or settings that do not
+    fit together.  ``ModelConfig``, ``SyntheticConfig``, ``LossWeights``,
+    ``TrainConfig`` and ``MaskTrainConfig`` raise nothing else, and the
+    message starts with the name of the field at fault."""
+
+
+def check_int(name: str, value, low: int = 0):
+    """Require a non-bool int >= ``low``, else ConfigError."""
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, low=0, high=math.inf, low_open=False, high_open=True):
+    """Require a non-bool int or float between ``low`` and ``high``, each end
+    excluded when its ``*_open`` flag is set, else ConfigError.  NaN is never
+    in range, nor is inf at an open infinite ``high``."""
+    if type(value) not in (int, float) or not (
+            (value > low if low_open else value >= low)
+            and (value < high if high_open else value <= high)):
+        if high == math.inf:
+            span = f"a finite real {'>' if low_open else '>='} {low}"
+        else:
+            span = f"a real in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+        raise ConfigError(f"{name} must be {span}, got {value!r}")
+
+
+def check_bool(name: str, value):
+    """Require a bool, else ConfigError."""
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
 
 
 def check_unit_interval(name: str, value):
-    """Require a non-bool int or float in [0, 1] (a threshold), else ValueError."""
-    if type(value) not in (int, float) or not 0 <= value <= 1:
-        raise ValueError(f"{name} must be a real in [0, 1], got {value!r}")
+    """Require a non-bool int or float in [0, 1] (a threshold), else ConfigError."""
+    check_real(name, value, high=1, high_open=False)
 
 
 def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):

@@ -11,13 +11,13 @@ backpropagation; only the loss stage is differentiated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .boxes import giou_matrix, giou_tensor, l1_tensor
+from .layers import check_real
 from .tensor import Tensor
 
 
@@ -93,10 +93,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("l1", "giou", "eos", "dice", "focal"):
-            value = getattr(self, name)
-            if type(value) not in (int, float) or not 0 <= value < math.inf:
-                raise ValueError(f"loss weight {name} must be a finite real >= 0, "
-                                 f"got {value!r}")
+            check_real(f"loss weight {name}", getattr(self, name))
 
 
 def box_cost_matrix(target_boxes: np.ndarray, pred_boxes: np.ndarray,

@@ -41,7 +41,7 @@ from .detector import (
     write_arrays,
 )
 from .evaluation import EvalReport, evaluate_detections, greedy_match, nms, panoptic_quality
-from .layers import check_unit_interval
+from .layers import ConfigError, check_bool, check_int, check_real, check_unit_interval
 from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
 from .segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
 from .tensor import DimensionError, Parameter
@@ -52,28 +52,8 @@ PREDICT_CHUNK = 20
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss turns non-finite; message carries diagnostics."""
-
-
-def _check_ints(cfg, names, at_least_one):
-    """Non-bool ints, and >= 1 for the names in ``at_least_one``."""
-    for name in names:
-        value = getattr(cfg, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if name in at_least_one and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _check_reals(cfg, names):
-    """Finite non-bool reals, > 0 except ``weight_decay`` (>= 0)."""
-    for name in names:
-        value = getattr(cfg, name)
-        positive = name != "weight_decay"
-        if (type(value) not in (int, float) or not 0 <= value < math.inf
-                or positive and value == 0):
-            raise ValueError(f"{name} must be a finite real "
-                             f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    """Raised when the model output or the loss turns non-finite; message
+    carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -97,20 +77,23 @@ class TrainConfig:
     data: SyntheticConfig = field(default_factory=SyntheticConfig)
 
     def __post_init__(self):
-        _check_ints(self, ("epochs", "lr_drop_epoch", "batch_size", "train_size", "val_size"),
-                    at_least_one=("batch_size", "train_size", "val_size"))
-        _check_reals(self, ("lr_transformer", "lr_backbone", "clip_norm", "lr_drop_factor",
-                            "weight_decay"))
-        if not 1 <= self.lr_drop_epoch < self.epochs:
-            raise ValueError(
-                f"lr_drop_epoch {self.lr_drop_epoch} must be in [1, {self.epochs})")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        if type(self.aux_loss) is not bool:
-            raise ValueError(f"aux_loss must be a bool, got {self.aux_loss!r}")
-        if self.data.max_objects > self.model.num_queries:
-            raise ValueError(
-                f"{self.data.max_objects} objects exceed {self.model.num_queries} slots")
+        for name in ("epochs", "lr_drop_epoch", "batch_size", "train_size", "val_size"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed)
+        for name in ("lr_transformer", "lr_backbone", "clip_norm", "lr_drop_factor"):
+            check_real(name, getattr(self, name), low_open=True)
+        check_real("weight_decay", self.weight_decay)
+        check_bool("aux_loss", self.aux_loss)
+        if self.lr_drop_epoch >= self.epochs:
+            raise ConfigError(f"lr_drop_epoch must be < epochs = {self.epochs}, "
+                              f"got {self.lr_drop_epoch}")
+        if self.model.num_queries < self.data.max_targets:
+            raise ConfigError(f"model.num_queries must be >= data.max_objects plus boxed stuff "
+                              f"bands = {self.data.max_targets}, got {self.model.num_queries}")
+        if self.model.num_classes < self.data.num_target_classes:
+            raise ConfigError(f"model.num_classes must be >= data.num_classes plus boxed stuff "
+                              f"bands = {self.data.num_target_classes}, "
+                              f"got {self.model.num_classes}")
 
     def lr_scale(self, epoch: int) -> float:
         """Multiplier on both base lrs for a 1-based epoch index."""
@@ -275,8 +258,7 @@ def evaluate_layers(model: Detector, samples, nms_thresh: float) -> list[dict]:
 def missed_fraction(model: Detector, class_id: int, count: int, repeats: int,
                     seed: int, side: int, object_size: float | None):
     """Fraction of grid instances the model fails to find, per repeat."""
-    if type(repeats) is not int or repeats < 1:
-        raise ValueError(f"repeats must be an int >= 1, got {repeats!r}")
+    check_int("repeats", repeats, 1)
     fractions = []
     for rep in range(repeats):
         rng = np.random.default_rng([seed, 5, count, rep])
@@ -438,14 +420,12 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
             rng_step = np.random.default_rng([cfg.seed, 3, epoch, step])
             model.zero_grad()
             out = model.forward(images, train=True, rng=rng_step)
-            try:
-                loss, comps = total_loss(out.layers, targets, cfg.loss,
-                                         aux=cfg.aux_loss)
-            except ValueError as exc:
-                # non-finite predictions surface first in the matching cost
+            scored = out.layers if cfg.aux_loss else out.layers[-1:]
+            if not all(np.isfinite(x.data).all() for layer in scored
+                       for x in (layer.class_logits, layer.boxes)):
                 raise TrainingDivergedError(
-                    f"non-finite model output at epoch {epoch} step {step}: "
-                    f"{exc}") from exc
+                    f"non-finite model output at epoch {epoch} step {step}")
+            loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -531,8 +511,11 @@ class MaskTrainConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        _check_ints(self, ("epochs", "batch_size"), at_least_one=("epochs", "batch_size"))
-        _check_reals(self, ("lr", "weight_decay", "clip_norm"))
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("lr", self.lr, low_open=True)
+        check_real("clip_norm", self.clip_norm, low_open=True)
+        check_real("weight_decay", self.weight_decay)
 
 
 def train_mask_head(model: Detector, cfg: TrainConfig,

@@ -116,6 +116,21 @@ MUTANTS = (
      "if labels.size and labels.max() >= size:",
      "if labels.size and labels.max() > size:",
      ["tests/test_data.py::TestMalformedStorage::test_rejected_naming_the_field"]),
+    ("check_real admits inf at an open infinite bound", "layers.py",
+     "value < high if high_open",
+     "value <= high if high_open",
+     ["tests/test_training.py::TestTrainConfig::test_float_fields_checked[clip_norm-inf]"]),
+    ("the class count leaves out the boxed stuff bands", "data.py",
+     "return self.num_classes + self.include_stuff_boxes * self.stuff_classes",
+     "return self.num_classes",
+     ["tests/test_training.py::TestTrainConfig::test_targets_must_fit_the_model[stuff-boxes]"]),
+    ("train() reports a loss error as divergence", "training.py",
+     "            loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)\n",
+     "            try:\n"
+     "                loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)\n"
+     "            except ValueError as exc:\n"
+     "                raise TrainingDivergedError(f\"non-finite model output: {exc}\") from exc\n",
+     ["tests/test_training.py::TestTrainLoop::test_loss_errors_are_not_divergence"]),
 )
 
 

@@ -93,6 +93,18 @@ class TestGenerateScene:
         stuff_ids = set(sample.targets.classes.tolist()) & {3, 4}
         assert stuff_ids == {3, 4}
 
+    @pytest.mark.parametrize("stuff_boxes", [False, True])
+    def test_targets_reach_the_counted_bounds(self, stuff_boxes):
+        cfg = SyntheticConfig(include_stuff_boxes=stuff_boxes, stuff_classes=2,
+                              min_objects=4, max_objects=4)
+        assert cfg.max_targets == 4 + 2 * stuff_boxes
+        assert cfg.num_target_classes == 3 + 2 * stuff_boxes
+        for sample in build_dataset(cfg, 6, TRAIN_NAMESPACE, 2):
+            assert len(sample.targets) == cfg.max_targets
+            assert sample.targets.classes.max() < cfg.num_target_classes
+            if stuff_boxes:
+                assert sample.targets.classes.max() == cfg.num_target_classes - 1
+
 
 # -- the dense renderer that the label-map renderer replaced, kept as its reference
 

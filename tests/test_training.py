@@ -23,7 +23,7 @@ from setdet.detector import (
 )
 from setdet.evaluation import evaluate_detections, nms, panoptic_quality
 from setdet.layers import ConfigError
-from setdet.matching import LossWeights, TargetSet, total_loss
+from setdet.matching import CapacityError, LossWeights, TargetSet, total_loss
 from setdet.segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
 from setdet.tensor import DimensionError, Parameter, Tensor
 from setdet.training import (
@@ -150,6 +150,26 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_train_config(data=SyntheticConfig(**{**TINY_DATA, "max_objects": 9}))
 
+    @pytest.mark.parametrize("model, data, fault", [
+        ({}, {"include_stuff_boxes": True}, "model.num_classes must be >= data.num_classes"),
+        ({}, {"include_stuff_boxes": True, "stuff_classes": 2},
+         "model.num_classes must be >= data.num_classes"),
+        ({}, {"num_classes": 4}, "model.num_classes must be >= data.num_classes"),
+        ({}, {"num_classes": 5}, "model.num_classes must be >= data.num_classes"),
+        ({"num_queries": 5, "num_classes": 5},
+         {"max_objects": 5, "stuff_classes": 2, "include_stuff_boxes": True},
+         "model.num_queries must be >= data.max_objects"),
+    ], ids=["stuff-boxes", "two-stuff-boxes", "four-classes", "five-classes", "slots"])
+    def test_targets_must_fit_the_model(self, model, data, fault):
+        with pytest.raises(ConfigError, match="^" + re.escape(fault)):
+            TrainConfig.from_dict({"model": model, "data": data})
+
+    def test_targets_fitting_exactly_accepted(self):
+        cfg = TrainConfig.from_dict({
+            "model": {"num_queries": 7, "num_classes": 5},
+            "data": {"max_objects": 5, "stuff_classes": 2, "include_stuff_boxes": True}})
+        assert (cfg.data.max_targets, cfg.data.num_target_classes) == (7, 5)
+
     @pytest.mark.parametrize("seed", [-1, "abc", "3", True, 2.0])
     def test_seed_must_be_natural_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -243,6 +263,35 @@ class TestTrainConfig:
     def test_aux_loss_must_be_bool(self, value):
         with pytest.raises(ValueError, match="^aux_loss must be a bool"):
             TrainConfig.from_dict({"aux_loss": value})
+
+    @pytest.mark.parametrize("make, field, value", [
+        (ModelConfig, "d", 8.0), (ModelConfig, "temperature", math.nan),
+        (ModelConfig, "skip_first_self_attention", 1),
+        (SyntheticConfig, "max_objects", "5"), (SyntheticConfig, "min_visible", 2.0),
+        (SyntheticConfig, "include_stuff_boxes", 1),
+        (LossWeights, "eos", "0.1"), (LossWeights, "giou", -0.5),
+        (TrainConfig, "batch_size", 0), (TrainConfig, "lr_backbone", math.inf),
+        (TrainConfig, "aux_loss", 0),
+        (training.MaskTrainConfig, "epochs", 2.0), (training.MaskTrainConfig, "lr", -1e-4),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_every_config_raises_config_error(self, make, field, value):
+        with pytest.raises(ConfigError, match=f"^(loss weight )?{field} must be "):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("make, fields, name", [
+        (ModelConfig, {"d": 12, "num_heads": 8}, "d"),
+        (ModelConfig, {"spatial_encoding": "sine"}, "spatial_encoding"),
+        (ModelConfig, {"image_side": 60}, "image_side"),
+        (SyntheticConfig, {"min_objects": 3, "max_objects": 2}, "max_objects"),
+        (SyntheticConfig, {"stuff_classes": 3}, "stuff_classes"),
+        (SyntheticConfig, {"num_classes": 7}, "num_classes"),
+        (SyntheticConfig, {"size_range": (2, 10)}, "size_range[0]"),
+        (SyntheticConfig, {"size_range": (10, 33)}, "image_side"),
+        (TrainConfig, {"epochs": 5, "lr_drop_epoch": 5}, "lr_drop_epoch"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_range_and_cross_field_faults_are_config_errors(self, make, fields, name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must "):
+            make(**fields)
 
     @pytest.mark.parametrize("name, value", [
         ("epochs", 0), ("epochs", -3), ("epochs", 2.0), ("batch_size", 0),
@@ -411,6 +460,15 @@ class TestTrainLoop:
             train(cfg, str(tmp_path / "diverge"))
         csv_handles = [fh for fh in opened if fh.name.endswith("metrics.csv")]
         assert csv_handles and all(fh.closed for fh in csv_handles)
+
+    def test_loss_errors_are_not_divergence(self, tmp_path, monkeypatch):
+        # a finite model output is not divergence, whatever total_loss raises
+        def full(*args, **kwargs):
+            raise CapacityError("7 targets exceed 5 slots")
+
+        monkeypatch.setattr(training, "total_loss", full)
+        with pytest.raises(CapacityError, match="^7 targets exceed 5 slots$"):
+            train(tiny_train_config(), str(tmp_path / "run"))
 
     @pytest.mark.parametrize("kept", ["transformer", "backbone"])
     def test_resume_rejects_optimizer_state_missing_a_group(self, tmp_path, kept):
