@@ -5,7 +5,9 @@ The training signal has two stages: first an optimal injective assignment
 of ground-truth objects to prediction slots is found by minimizing a
 pairwise matching cost (class probability + box distance), then the loss
 proper (negative log-likelihood + box loss) is evaluated over that
-assignment.  The assignment itself is treated as a constant during
+assignment.  Matching takes the batch rank: one padded [B, m, N] cost
+tensor per decoder layer, then one Hungarian solve per image on its own
+rows.  The assignment itself is treated as a constant during
 backpropagation; only the loss stage is differentiated.
 """
 
@@ -33,10 +35,12 @@ class AssignmentError(ValueError):
 class TargetSet:
     """Ground-truth objects of one image: class ids and normalized boxes.
 
-    May be empty.  Conceptually the set is padded with no-object entries
-    up to the model's slot count; the padding never needs materializing
-    because a no-object row would add the same constant to every
-    candidate assignment.
+    May be empty.  The paper pads every set with no-object entries up to
+    the slot count N; those rows are never built, because a no-object row
+    adds the same constant to every candidate assignment.  The batched
+    cost tensor pads each image's rows with zeros only up to ``m``, the
+    largest target count in the batch, and each image's solve sees only
+    its own ``len(targets)`` rows.
     """
 
     classes: np.ndarray
@@ -98,41 +102,58 @@ class LossWeights:
 
 def box_cost_matrix(target_boxes: np.ndarray, pred_boxes: np.ndarray,
                     weights: LossWeights) -> np.ndarray:
-    """Pairwise box loss, [m,4] x [n,4] -> [m,n], plain numpy."""
-    l1 = np.abs(target_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
+    """Pairwise box loss, [..., m, 4] x [..., n, 4] -> [..., m, n], plain numpy."""
+    l1 = np.abs(target_boxes[..., :, None, :] - pred_boxes[..., None, :, :]).sum(axis=-1)
     return weights.giou * (1.0 - giou_matrix(target_boxes, pred_boxes)) \
         + weights.l1 * l1
 
 
 def matching_cost_matrix(class_logits: np.ndarray, pred_boxes: np.ndarray,
-                         targets: TargetSet, weights: LossWeights) -> np.ndarray:
-    """Pairwise matching cost between real targets (rows) and slots (cols).
+                         target_sets, weights: LossWeights) -> np.ndarray:
+    """Pairwise matching cost between targets (rows) and slots (cols).
 
-    Entry (i, j) = -p_j(c_i) + L_box(b_i, b_hat_j).  The class term
-    uses plain probabilities, keeping it commensurable with the box
-    term.  Rows exist only for real objects: the cost of pairing a slot
-    with a no-object padding entry is a constant, so padding rows could
-    never change the optimal assignment.
+    [B,N,K+1] logits, [B,N,4] boxes and one TargetSet per image give [B,m,N]
+    with m the largest target count and each image's rows zero-padded to m.
+    Entry (b,i,j) = -p_bj(c_bi) + L_box(b_bi, b_hat_bj): plain probabilities
+    keep the class term commensurable with the box term.
     """
     logits = np.asarray(class_logits, dtype=np.float64)
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
-    n_slots = logits.shape[0]
-    if len(targets) > n_slots:
-        raise CapacityError(f"{len(targets)} targets exceed {n_slots} slots")
-    if len(targets) == 0:
-        return np.zeros((0, n_slots))
-    probs = T.softmax(logits)
-    class_cost = -probs[:, targets.classes].T            # [m, n]
-    return class_cost + box_cost_matrix(targets.boxes, pred_boxes, weights)
+    if (logits.ndim != 3 or pred_boxes.shape != (*logits.shape[:2], 4)
+            or len(target_sets) != len(logits)):
+        raise T.DimensionError(
+            f"matching needs [B,N,K+1] logits, [B,N,4] boxes and B target sets, got "
+            f"{logits.shape}, {pred_boxes.shape} and {len(target_sets)} target sets")
+    batch, n_slots, k_plus_1 = logits.shape
+    m = max((len(t) for t in target_sets), default=0)
+    if m > n_slots:
+        raise CapacityError(f"{m} targets exceed {n_slots} slots")
+    classes = np.zeros((batch, m), dtype=np.int64)
+    boxes = np.zeros((batch, m, 4))
+    real = np.zeros((batch, m), dtype=bool)
+    for b, targets in enumerate(target_sets):
+        classes[b, :len(targets)] = targets.classes
+        boxes[b, :len(targets)] = targets.boxes
+        real[b, :len(targets)] = True
+    bad = np.argwhere(real & ((classes < 0) | (classes >= k_plus_1 - 1)))
+    if len(bad):
+        b, i = bad[0]
+        raise _class_error(b, classes[b, i], k_plus_1 - 1)
+    class_cost = -np.take_along_axis(T.softmax(logits), classes[:, None, :], axis=2)  # [B,N,m]
+    return class_cost.transpose(0, 2, 1) + box_cost_matrix(boxes, pred_boxes, weights)
+
+
+def _class_error(image: int, cls: int, k: int) -> ValueError:
+    return ValueError(f"image {image}: target class {cls} is outside [0, K) for K = {k}")
 
 
 def hungarian_assign(cost: np.ndarray) -> Assignment:
     """Minimum-cost injective assignment of rows to columns (m <= n).
 
-    Rectangular Kuhn-Munkres with dual potentials and shortest
-    augmenting paths, O(m^2 n).  Column scans run in index order with
-    strict improvement, so the result is deterministic and ties resolve
-    toward lower slot indices.
+    Rectangular Kuhn-Munkres with dual potentials and shortest augmenting
+    paths, O(m^2 n), on Python lists, which beat numpy's per-call overhead
+    at a step's few-by-N sizes.  Column scans run in index order with strict
+    improvement, so ties resolve deterministically toward lower slots.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -140,60 +161,60 @@ def hungarian_assign(cost: np.ndarray) -> Assignment:
     m, n = cost.shape
     if m > n:
         raise CapacityError(f"cost matrix {cost.shape} has more rows than columns")
-    if m and not np.isfinite(cost).all():
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
-    if m == 0:
-        return Assignment(np.zeros(0, dtype=np.int64), n)
 
     # Column j is matched to row p[j]; index m is the virtual free row,
     # index n the virtual start column for each augmenting search.
-    u = np.zeros(m + 1)
-    v = np.zeros(n + 1)
-    p = np.full(n + 1, m, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
+    rows = cost.tolist()
+    slot_of_target = [0] * m
+    u = [0.0] * (m + 1)
+    v = [0.0] * (n + 1)
+    p = [m] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(m):
         p[n] = i
         j0 = n
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [np.inf] * n
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            free = ~used[:n]
-            reduced = cost[i0, free] - u[i0] - v[:n][free]
-            cols = np.flatnonzero(free)
-            better = reduced < minv[cols]
-            minv[cols[better]] = reduced[better]
-            way[cols[better]] = j0
-            j1 = cols[np.argmin(minv[cols])]
-            delta = minv[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            delta, j1 = np.inf, n
+            for j in range(n):
+                if not used[j]:
+                    reduced = rows[i0][j] - u[i0] - v[j]
+                    if reduced < minv[j]:
+                        minv[j] = reduced
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == m:
                 break
         while j0 != n:
             j1 = way[j0]
             p[j0] = p[j1]
+            slot_of_target[p[j0]] = j0
             j0 = j1
-    slot_of_target = np.empty(m, dtype=np.int64)
-    for j in range(n):
-        if p[j] != m:
-            slot_of_target[p[j]] = j
-    return Assignment(slot_of_target, n)
+    return Assignment(np.array(slot_of_target, dtype=np.int64), n)
 
 
-def match(class_logits, pred_boxes, targets: TargetSet,
-          weights: LossWeights) -> Assignment:
-    """Matching cost + Hungarian solve in one step."""
-    cost = matching_cost_matrix(class_logits, pred_boxes, targets, weights)
-    return hungarian_assign(cost)
+def match(class_logits, pred_boxes, target_sets,
+          weights: LossWeights) -> list[Assignment]:
+    """One batched matching cost, then a Hungarian solve of each image's own rows."""
+    cost = matching_cost_matrix(class_logits, pred_boxes, target_sets, weights)
+    return [hungarian_assign(cost[b, :len(t)]) for b, t in enumerate(target_sets)]
 
 
 def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
-                         assignments, weights: LossWeights,
-                         num_objects: int | None = None):
+                         assignments, weights: LossWeights):
     """Set loss of one decoder layer over a batch under fixed assignments.
 
     ``class_logits`` is [B,N,K+1], ``pred_boxes`` [B,N,4]; one TargetSet
@@ -201,15 +222,12 @@ def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
     log-likelihood term: matched slots for their target class, unmatched
     slots for no-object with weight ``weights.eos``.  Matched slots
     additionally contribute the box loss.  Class and box terms are each
-    normalized by the number of real objects in the batch (floored at 1),
-    which callers may override with ``num_objects``.  Returns (scalar
-    Tensor, component dict).
+    normalized by the number of real objects in the batch (floored at 1).
+    Returns (scalar Tensor, component dict).
     """
     batch, n_slots, k_plus_1 = class_logits.shape
     no_object = k_plus_1 - 1
-    if num_objects is None:
-        num_objects = sum(len(t) for t in target_sets)
-    denom = float(max(1, num_objects))
+    denom = float(max(1, sum(len(t) for t in target_sets)))
 
     weight_mask = np.zeros((batch, n_slots, k_plus_1))
     weight_mask[:, :, no_object] = weights.eos
@@ -220,6 +238,9 @@ def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
             raise AssignmentError(
                 f"assignment for image {b} does not fit {len(targets)} targets "
                 f"and {n_slots} slots")
+        bad = targets.classes[(targets.classes < 0) | (targets.classes >= no_object)]
+        if len(bad):
+            raise _class_error(b, bad[0], no_object)
         slots = assignment.slot_of_target
         weight_mask[b, slots, no_object] = 0.0
         weight_mask[b, slots, targets.classes] = 1.0
@@ -258,17 +279,12 @@ def total_loss(output, target_sets, weights: LossWeights, aux: bool = True):
     layers = list(output)
     if not aux:
         layers = layers[-1:]
-    num_objects = sum(len(t) for t in target_sets)
     total = None
     components = {"class": 0.0, "l1": 0.0, "giou": 0.0}
     for layer in layers:
-        logits, boxes = layer.class_logits, layer.boxes
-        assignments = [
-            match(logits.data[b], boxes.data[b], targets, weights)
-            for b, targets in enumerate(target_sets)
-        ]
-        value, comps = batch_hungarian_loss(logits, boxes, target_sets,
-                                            assignments, weights, num_objects)
+        assignments = match(layer.class_logits.data, layer.boxes.data, target_sets, weights)
+        value, comps = batch_hungarian_loss(layer.class_logits, layer.boxes, target_sets,
+                                            assignments, weights)
         total = value if total is None else total + value
         for key in components:
             components[key] += comps[key]

@@ -87,6 +87,9 @@ class TrainConfig:
         if self.lr_drop_epoch >= self.epochs:
             raise ConfigError(f"lr_drop_epoch must be < epochs = {self.epochs}, "
                               f"got {self.lr_drop_epoch}")
+        if self.model.image_side != self.data.image_side:
+            raise ConfigError(f"model.image_side must equal data.image_side = "
+                              f"{self.data.image_side}, got {self.model.image_side}")
         if self.model.num_queries < self.data.max_targets:
             raise ConfigError(f"model.num_queries must be >= data.max_objects plus boxed stuff "
                               f"bands = {self.data.max_targets}, got {self.model.num_queries}")
@@ -541,8 +544,8 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
     def frozen(images, chunk):
         out, memory, embs = model.forward_with_internals(images)
         logits, boxes = out.layers[-1].class_logits.data, out.layers[-1].boxes.data
-        slots = [match(logits[b], boxes[b], s.targets, cfg.loss).slot_of_target
-                 for b, s in enumerate(chunk)]
+        slots = [a.slot_of_target
+                 for a in match(logits, boxes, [s.targets for s in chunk], cfg.loss)]
         return embs.data, memory.data, slots
 
     parts = _map_chunks(frozen, train_set)

@@ -131,6 +131,22 @@ MUTANTS = (
      "            except ValueError as exc:\n"
      "                raise TrainingDivergedError(f\"non-finite model output: {exc}\") from exc\n",
      ["tests/test_training.py::TestTrainLoop::test_loss_errors_are_not_divergence"]),
+    ("the Hungarian scan sends ties to the higher slot", "matching.py",
+     "if minv[j] < delta:",
+     "if minv[j] <= delta:",
+     ["tests/test_matching.py::TestBatchRank::test_tie_heavy_integer_matrices"]),
+    ("padded cost rows reach the solve", "matching.py",
+     "hungarian_assign(cost[b, :len(t)])",
+     "hungarian_assign(cost[b])",
+     ["tests/test_matching.py::TestBatchRank::test_assignments_equal"]),
+    ("the cost accepts the no-object index as a target class", "matching.py",
+     "(classes >= k_plus_1 - 1)",
+     "(classes > k_plus_1 - 1)",
+     ["tests/test_matching.py::TestTargetClassRange::test_cost_matrix_rejects[2]"]),
+    ("TrainConfig does not compare the model's and the data's image side", "training.py",
+     "if self.model.image_side != self.data.image_side:",
+     "if False:",
+     ["tests/test_training.py::TestTrainConfig::test_model_and_data_sides_must_agree"]),
 )
 
 

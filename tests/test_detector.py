@@ -233,7 +233,7 @@ class TestEndToEndGradient:
             value = None
             for layer, assignment in zip(out.layers, fixed):
                 term, _ = batch_hungarian_loss(layer.class_logits, layer.boxes, targets,
-                                               [assignment], w, num_objects=2)
+                                               [assignment], w)
                 value = term if value is None else value + term
             return value
 

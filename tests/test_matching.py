@@ -71,6 +71,76 @@ def brute_force_assignment(cost):
     return best, best_perm
 
 
+def reference_cost_matrix(class_logits, pred_boxes, targets, weights):
+    """The per-image matching cost before the batch rank: [N,K+1] logits,
+    [N,4] boxes and one TargetSet -> [m,N]."""
+    logits = np.asarray(class_logits, dtype=np.float64)
+    pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
+    n_slots = logits.shape[0]
+    if len(targets) > n_slots:
+        raise CapacityError(f"{len(targets)} targets exceed {n_slots} slots")
+    if len(targets) == 0:
+        return np.zeros((0, n_slots))
+    probs = T.softmax(logits)
+    class_cost = -probs[:, targets.classes].T            # [m, n]
+    return class_cost + M.box_cost_matrix(targets.boxes, pred_boxes, weights)
+
+
+def reference_hungarian(cost):
+    """The numpy Kuhn-Munkres that the list-based solver replaced: the same
+    shortest augmenting paths, with masked array updates."""
+    cost = np.asarray(cost, dtype=np.float64)
+    m, n = cost.shape
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    u = np.zeros(m + 1)
+    v = np.zeros(n + 1)
+    p = np.full(n + 1, m, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(m):
+        p[n] = i
+        j0 = n
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = ~used[:n]
+            reduced = cost[i0, free] - u[i0] - v[:n][free]
+            cols = np.flatnonzero(free)
+            better = reduced < minv[cols]
+            minv[cols[better]] = reduced[better]
+            way[cols[better]] = j0
+            j1 = cols[np.argmin(minv[cols])]
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if p[j0] == m:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    slot_of_target = np.empty(m, dtype=np.int64)
+    for j in range(n):
+        if p[j] != m:
+            slot_of_target[p[j]] = j
+    return slot_of_target
+
+
+def random_batch(rng):
+    """Random ragged batch: [B,N,K+1] logits, [B,N,4] boxes and B target
+    sets; each image is empty, full (m = N) or of random size, with equal odds."""
+    batch, n, k = int(rng.integers(1, 7)), int(rng.integers(1, 11)), int(rng.integers(1, 5))
+    logits = rng.normal(scale=3.0, size=(batch, n, k + 1))
+    boxes = random_boxes(rng, batch * n).reshape(batch, n, 4)
+    counts = rng.choice([0, n, int(rng.integers(0, n + 1))], batch)
+    targets = [TargetSet.create(rng.integers(0, k, c), random_boxes(rng, c)) for c in counts]
+    return logits, boxes, targets
+
+
 def random_boxes(rng, n):
     w = rng.uniform(0.05, 0.6, n)
     h = rng.uniform(0.05, 0.6, n)
@@ -181,7 +251,7 @@ class TestCostMatrix:
     def test_empty_targets(self):
         logits = np.zeros((4, 3))
         boxes = np.tile([0.5, 0.5, 0.1, 0.1], (4, 1))
-        cost = M.matching_cost_matrix(logits, boxes, TargetSet.empty(), W)
+        cost = M.matching_cost_matrix(logits[None], boxes[None], [TargetSet.empty()], W)[0]
         assert cost.shape == (0, 4)
         assert len(M.hungarian_assign(cost)) == 0
 
@@ -192,7 +262,7 @@ class TestCostMatrix:
         boxes = np.tile([0.8, 0.2, 0.4, 0.4], (3, 1))
         boxes[1] = box
         targets = TargetSet.create([0], [box])
-        cost = M.matching_cost_matrix(logits, boxes, targets, W)
+        cost = M.matching_cost_matrix(logits[None], boxes[None], [targets], W)[0]
         assert cost[0, 1] == pytest.approx(-1.0, abs=1e-6)
         assert cost[0, 1] < cost[0, 0] and cost[0, 1] < cost[0, 2]
 
@@ -201,7 +271,7 @@ class TestCostMatrix:
         logits = rng.normal(size=(3, 4))
         pred = random_boxes(rng, 3)
         targets = TargetSet.create([2, 0], random_boxes(rng, 2))
-        cost = M.matching_cost_matrix(logits, pred, targets, W)
+        cost = M.matching_cost_matrix(logits[None], pred[None], [targets], W)[0]
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         for i in range(2):
             for j in range(3):
@@ -211,9 +281,9 @@ class TestCostMatrix:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            M.matching_cost_matrix(np.zeros((2, 3)), np.zeros((2, 4)),
-                                   TargetSet.create([0, 1, 2], random_boxes(
-                                       np.random.default_rng(0), 3)), W)
+            M.matching_cost_matrix(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)),
+                                   [TargetSet.create([0, 1, 2], random_boxes(
+                                       np.random.default_rng(0), 3))], W)
 
 
 class TestHungarian:
@@ -255,6 +325,79 @@ class TestHungarian:
             Assignment(np.array([0, 0]), 3)
         with pytest.raises(AssignmentError):
             Assignment(np.array([5]), 3)
+
+
+class TestBatchRank:
+    """The batched cost and the list-based solver against the per-image
+    cost and the numpy solver they replaced, bitwise."""
+
+    def test_cost_slices_bitwise_equal(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            logits, boxes, targets = random_batch(rng)
+            cost = M.matching_cost_matrix(logits, boxes, targets, W)
+            assert cost.shape == (len(targets), max(map(len, targets)), logits.shape[1])
+            for b, t in enumerate(targets):
+                want = reference_cost_matrix(logits[b], boxes[b], t, W)
+                assert cost[b, :len(t)].tobytes() == want.tobytes()
+
+    def test_assignments_equal(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            logits, boxes, targets = random_batch(rng)
+            got = M.match(logits, boxes, targets, W)
+            assert len(got) == len(targets)
+            for b, t in enumerate(targets):
+                want = reference_hungarian(reference_cost_matrix(logits[b], boxes[b], t, W))
+                np.testing.assert_array_equal(got[b].slot_of_target, want)
+
+    def test_all_empty_batch(self):
+        logits = np.zeros((3, 4, 3))
+        boxes = np.tile([0.5, 0.5, 0.1, 0.1], (3, 4, 1))
+        cost = M.matching_cost_matrix(logits, boxes, [TargetSet.empty()] * 3, W)
+        assert cost.shape == (3, 0, 4)
+        assert [len(a) for a in M.match(logits, boxes, [TargetSet.empty()] * 3, W)] == [0] * 3
+
+    def test_tie_heavy_integer_matrices(self):
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            m = int(rng.integers(0, 7))
+            n = int(rng.integers(max(m, 1), 11))
+            cost = rng.integers(0, 3, (m, n)).astype(np.float64)
+            np.testing.assert_array_equal(M.hungarian_assign(cost).slot_of_target,
+                                          reference_hungarian(cost))
+
+    @pytest.mark.parametrize("logits, boxes, sets", [
+        ((4, 3), (4, 4), 1),
+        ((2, 4, 3), (2, 3, 4), 2),
+        ((2, 4, 3), (2, 4, 4), 1),
+    ], ids=["single-image", "box-slots", "set-count"])
+    def test_shapes_rejected(self, logits, boxes, sets):
+        with pytest.raises(T.DimensionError, match=r"\[B,N,K\+1\] logits, \[B,N,4\] boxes"):
+            M.match(np.zeros(logits), np.zeros(boxes), [TargetSet.empty()] * sets, W)
+
+
+# K = 2 target classes, so 3 logits; -1, K (the no-object index) and K+1
+@pytest.mark.parametrize("cls", [-1, 2, 3])
+class TestTargetClassRange:
+    def _batch(self, cls):
+        rng = np.random.default_rng(27)
+        logits = rng.normal(size=(2, 4, 3))
+        boxes = random_boxes(rng, 8).reshape(2, 4, 4)
+        targets = [TargetSet.create([1], random_boxes(rng, 1)),
+                   TargetSet.create([0, cls], random_boxes(rng, 2))]
+        return logits, boxes, targets
+
+    def test_cost_matrix_rejects(self, cls):
+        logits, boxes, targets = self._batch(cls)
+        with pytest.raises(ValueError, match=rf"^image 1: target class {cls} .*K = 2$"):
+            M.matching_cost_matrix(logits, boxes, targets, W)
+
+    def test_loss_rejects(self, cls):
+        logits, boxes, targets = self._batch(cls)
+        assignments = [Assignment(np.array([0]), 4), Assignment(np.array([1, 2]), 4)]
+        with pytest.raises(ValueError, match=rf"^image 1: target class {cls} .*K = 2$"):
+            M.batch_hungarian_loss(Tensor(logits), Tensor(boxes), targets, assignments, W)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +503,7 @@ class TestTotalLoss:
         logits, boxes, targets = self._instance(12)
         out = [_FakeLayer(logits, boxes)]
         value, _ = M.total_loss(out, targets, W)
-        assignment = M.match(logits.data[0], boxes.data[0], targets[0], W)
+        assignment = M.match(logits.data, boxes.data, targets, W)[0]
         direct, _ = M.batch_hungarian_loss(logits, boxes, targets, [assignment], W)
         assert value.item() == pytest.approx(direct.item(), abs=1e-12)
 
@@ -378,7 +521,7 @@ class TestTotalLoss:
         value, _ = M.total_loss([_FakeLayer(l0, b0), _FakeLayer(l1, b1)], targets, W)
         want = 0.0
         for lg, bx in [(l0, b0), (l1, b1)]:
-            a = M.match(lg.data[0], bx.data[0], targets[0], W)
+            a = M.match(lg.data, bx.data, targets, W)[0]
             want += scalar_loss_oracle(lg.data[0], bx.data[0], targets[0],
                                        a.slot_of_target, W)
         assert value.item() == pytest.approx(want, abs=1e-12)
@@ -403,7 +546,7 @@ class TestTotalLoss:
         value, _ = M.total_loss([_FakeLayer(logits, boxes)], [t1, t2], W)
         want = 0.0
         for b, targets in enumerate([t1, t2]):
-            a = M.match(logits.data[b], boxes.data[b], targets, W)
+            a = M.match(logits.data[b:b + 1], boxes.data[b:b + 1], [targets], W)[0]
             want += scalar_loss_oracle(logits.data[b], boxes.data[b], targets,
                                        a.slot_of_target, W, num_objects=4)
         assert value.item() == pytest.approx(want, abs=1e-12)
@@ -418,13 +561,13 @@ def test_permutation_invariance_of_min_cost_and_loss():
         boxes = random_boxes(rng, n)
         targets = TargetSet.create(rng.integers(0, 3, m), random_boxes(rng, m))
 
-        cost = M.matching_cost_matrix(logits, boxes, targets, W)
+        cost = M.matching_cost_matrix(logits[None], boxes[None], [targets], W)[0]
         a = M.hungarian_assign(cost)
         loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
                                          [targets], [a], W)
 
         perm = rng.permutation(n)
-        cost_p = M.matching_cost_matrix(logits[perm], boxes[perm], targets, W)
+        cost_p = M.matching_cost_matrix(logits[perm][None], boxes[perm][None], [targets], W)[0]
         a_p = M.hungarian_assign(cost_p)
         loss_p, _ = M.batch_hungarian_loss(Tensor(logits[perm][None]),
                                            Tensor(boxes[perm][None]), [targets], [a_p], W)

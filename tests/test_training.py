@@ -170,6 +170,11 @@ class TestTrainConfig:
             "data": {"max_objects": 5, "stuff_classes": 2, "include_stuff_boxes": True}})
         assert (cfg.data.max_targets, cfg.data.num_target_classes) == (7, 5)
 
+    def test_model_and_data_sides_must_agree(self):
+        with pytest.raises(ConfigError, match=r"^model\.image_side must equal "
+                                              r"data\.image_side = 64, got 32$"):
+            TrainConfig.from_dict({"model": {"image_side": 32}})
+
     @pytest.mark.parametrize("seed", [-1, "abc", "3", True, 2.0])
     def test_seed_must_be_natural_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -784,14 +789,14 @@ class TestPanopticBatchRank:
         match = training.match
 
         def counting_match(*args, **kwargs):
-            matches.append(1)
-            return match(*args, **kwargs)
+            matches.append(match(*args, **kwargs))
+            return matches[-1]
 
         monkeypatch.setattr(training, "match", counting_match)
         training.train_mask_head(model, cfg, training.MaskTrainConfig(epochs=epochs,
                                                                       batch_size=8))
         assert sorted(calls) == [5, 20, 20]
-        assert len(matches) == 45
+        assert sorted(map(len, matches)) == [5, 20, 20]
 
     def test_field_nan_in_every_image_is_nan(self, model, head, samples):
         # every pixel belongs to one thing, so no image has a stuff segment
