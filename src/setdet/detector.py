@@ -82,23 +82,21 @@ class ModelConfig:
         return self.image_side // self.stride
 
 
-@dataclass
-class LayerPrediction:
-    """One decoder layer's slot predictions.
+@dataclass(frozen=True)
+class DetectionOutput:
+    """Slot predictions of every decoder layer, final layer last.
 
-    ``class_logits`` is [B, N, K+1]; ``boxes`` is [B, N, 4] in normalized
-    (cx, cy, w, h), sigmoid-bounded.
+    ``class_logits`` is [L, B, N, K+1] and ``boxes`` [L, B, N, 4] in
+    normalized (cx, cy, w, h), sigmoid-bounded: the decoder-layer axis L
+    leads the batch axis B, so one loss call and one index serve every layer.
     """
 
     class_logits: Tensor
     boxes: Tensor
 
-
-@dataclass
-class DetectionOutput:
-    """Per-layer predictions, final layer last."""
-
-    layers: list
+    @property
+    def layers(self) -> "DetectionOutput":
+        return self     # for perfbench/workloads.py's total_loss(out.layers, ...)
 
 
 @dataclass
@@ -207,7 +205,7 @@ class Detector:
         return self.backbone(x)
 
     def forward(self, images, train: bool = False, rng=None) -> DetectionOutput:
-        """Full pipeline from a [B,3,H,W] batch to per-layer slot predictions.
+        """Full pipeline from a [B,3,H,W] batch to every layer's slot predictions.
 
         In train mode dropout is active and ``rng`` must be supplied.
         """
@@ -215,7 +213,10 @@ class Detector:
 
     def forward_with_internals(self, images, train: bool = False, rng=None):
         """Forward pass that also exposes the encoder memory [B,d,HW] and the
-        final decoder embeddings [B,d,N] for the mask head."""
+        final decoder embeddings [B,d,N] for the mask head.
+
+        The shared heads run on each decoder layer's [B,d,N] state in turn,
+        and one ``T.stack`` node joins their outputs on a leading layer axis."""
         cfg = self.config
         feats = self.backbone_forward(images)
         feats = T.conv2d(feats, self.input_proj_w.tensor, self.input_proj_b.tensor)
@@ -247,13 +248,12 @@ class Detector:
         layer_states = self.decoder(queries_init, memory, pos_attn, query_pos,
                                     dropout=cfg.dropout, rng=rng, train=train)
 
-        layers = []
+        logits, boxes = [], []
         for state in layer_states:
-            logits = T.transpose(self.class_head(state))         # [B, N, K+1]
+            logits.append(T.transpose(self.class_head(state)))         # [B, N, K+1]
             h = self.box_head[1](self.box_head[0](state, relu=True), relu=True)
-            boxes = T.transpose(T.sigmoid(self.box_head[2](h)))  # [B, N, 4]
-            layers.append(LayerPrediction(logits, boxes))
-        return DetectionOutput(layers), memory, layer_states[-1]
+            boxes.append(T.transpose(T.sigmoid(self.box_head[2](h))))  # [B, N, 4]
+        return DetectionOutput(T.stack(logits), T.stack(boxes)), memory, layer_states[-1]
 
     def predict(self, image, use_layer: int = -1,
                 override_empty: bool = True) -> list[Detection]:
@@ -273,14 +273,13 @@ def postprocess(output: DetectionOutput, use_layer: int = -1,
     class at that class's (lower) probability.  Returns one list of
     Detection per image of the batch.
     """
-    count = len(output.layers)
-    if not -count <= use_layer < count:
-        raise ValueError(f"use_layer {use_layer} is out of range for {count} decoder layers")
-    layer = output.layers[use_layer]
-    probs = T.softmax(layer.class_logits.data)
+    count = output.class_logits.shape[0]
+    if type(use_layer) is not int or not -count <= use_layer < count:
+        raise ValueError(f"use_layer {use_layer!r} is out of range for {count} decoder layers")
+    probs = T.softmax(output.class_logits.data[use_layer])
     no_object = probs.shape[-1] - 1
     batch = []
-    for image_probs, image_boxes in zip(probs, layer.boxes.data):
+    for image_probs, image_boxes in zip(probs, output.boxes.data[use_layer]):
         detections = []
         for p, box in zip(image_probs, image_boxes):
             best = int(np.argmax(p))

@@ -5,9 +5,10 @@ The training signal has two stages: first an optimal injective assignment
 of ground-truth objects to prediction slots is found by minimizing a
 pairwise matching cost (class probability + box distance), then the loss
 proper (negative log-likelihood + box loss) is evaluated over that
-assignment.  Matching takes the batch rank: one padded [B, m, N] cost
-tensor per decoder layer, then one Hungarian solve per image on its own
-rows.  The assignment itself is treated as a constant during
+assignment.  Decoder layers and images share the batch rank: a step
+builds one padded [L·B, m, N] cost tensor over every (layer, image) pair,
+then one Hungarian solve per pair on its own rows, and one loss call
+scores all L layers.  The assignment itself is treated as a constant during
 backpropagation; only the loss stage is differentiated.
 """
 
@@ -215,25 +216,33 @@ def match(class_logits, pred_boxes, target_sets,
 
 def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
                          assignments, weights: LossWeights):
-    """Set loss of one decoder layer over a batch under fixed assignments.
+    """Set loss of every decoder layer over a batch under fixed assignments.
 
-    ``class_logits`` is [B,N,K+1], ``pred_boxes`` [B,N,4]; one TargetSet
-    and Assignment per image.  Every slot contributes a negative
-    log-likelihood term: matched slots for their target class, unmatched
-    slots for no-object with weight ``weights.eos``.  Matched slots
-    additionally contribute the box loss.  Class and box terms are each
-    normalized by the number of real objects in the batch (floored at 1).
-    Returns (scalar Tensor, component dict).
+    ``class_logits`` is [L,B,N,K+1] and ``pred_boxes`` [L,B,N,4]; one
+    TargetSet per image and one Assignment per (layer, image) pair,
+    layer-major.  Every slot contributes a negative log-likelihood term:
+    matched slots for their target class, unmatched slots for no-object
+    with weight ``weights.eos``.  Matched slots additionally contribute the
+    box loss.  Each layer's class and box terms are normalized by the number
+    of real objects in the batch (floored at 1), and each is summed over its
+    own layer before the layers are added in order.  Returns (scalar Tensor,
+    {"class" | "l1" | "giou": length-L array}).
     """
-    batch, n_slots, k_plus_1 = class_logits.shape
+    layers, batch, n_slots, k_plus_1 = class_logits.shape
+    if len(target_sets) != batch or len(assignments) != layers * batch:
+        raise AssignmentError(
+            f"{layers} layers of {batch} images need {batch} target sets and "
+            f"{layers * batch} assignments, got {len(target_sets)} and {len(assignments)}")
     no_object = k_plus_1 - 1
     denom = float(max(1, sum(len(t) for t in target_sets)))
 
-    weight_mask = np.zeros((batch, n_slots, k_plus_1))
-    weight_mask[:, :, no_object] = weights.eos
+    weight_mask = np.zeros(class_logits.shape)
+    weight_mask[..., no_object] = weights.eos
     matched_rows = []
     matched_targets = []
-    for b, (targets, assignment) in enumerate(zip(target_sets, assignments)):
+    for i, assignment in enumerate(assignments):     # i = layer * batch + b
+        b = i % batch
+        targets = target_sets[b]
         if assignment.num_slots != n_slots or len(assignment) != len(targets):
             raise AssignmentError(
                 f"assignment for image {b} does not fit {len(targets)} targets "
@@ -242,53 +251,44 @@ def batch_hungarian_loss(class_logits: Tensor, pred_boxes: Tensor, target_sets,
         if len(bad):
             raise _class_error(b, bad[0], no_object)
         slots = assignment.slot_of_target
-        weight_mask[b, slots, no_object] = 0.0
-        weight_mask[b, slots, targets.classes] = 1.0
-        matched_rows.extend(b * n_slots + slots)
+        weight_mask[i // batch, b, slots, no_object] = 0.0
+        weight_mask[i // batch, b, slots, targets.classes] = 1.0
+        matched_rows.extend(i * n_slots + slots)
         matched_targets.append(targets.boxes)
 
+    # sum each layer's own block, then add the layers in order: as scored alone
     log_probs = T.log_softmax_lastdim(class_logits)
-    class_term = T.tsum(log_probs * Tensor(weight_mask)) * (-1.0 / denom)
-
-    l1_value = 0.0
-    giou_value = 0.0
+    class_term = T.tsum(log_probs * Tensor(weight_mask), axis=(1, 2, 3)) * (-1.0 / denom)
+    total = class_term
+    components = {"class": class_term.data, "l1": np.zeros(layers), "giou": np.zeros(layers)}
     if matched_rows:
-        flat = T.reshape(pred_boxes, (batch * n_slots, 4))
-        pred = T.take(flat, np.asarray(matched_rows, dtype=np.intp), axis=0)
-        target = np.concatenate(matched_targets, axis=0)
-        l1_term = T.tsum(l1_tensor(pred, target)) * (weights.l1 / denom)
-        giou_term = T.tsum(1.0 - giou_tensor(pred, target)) * (weights.giou / denom)
-        l1_value = l1_term.item()
-        giou_value = giou_term.item()
-        total = class_term + l1_term + giou_term
-    else:
-        total = class_term
-    components = {"class": class_term.item(), "l1": l1_value, "giou": giou_value}
-    return total, components
+        flat = T.reshape(pred_boxes, (-1, 4))
+        pred = T.reshape(T.take(flat, matched_rows), (layers, -1, 4))
+        target = np.concatenate(matched_targets).reshape(layers, -1, 4)
+        l1_term = T.tsum(l1_tensor(pred, target), axis=(1, 2)) * (weights.l1 / denom)
+        giou_term = T.tsum(1.0 - giou_tensor(pred, target), axis=(1, 2)) * (weights.giou / denom)
+        components.update(l1=l1_term.data, giou=giou_term.data)
+        total = total + l1_term + giou_term
+    return T.tsum(total), components
 
 
 def total_loss(output, target_sets, weights: LossWeights, aux: bool = True):
-    """Full training loss: matching + Hungarian loss per decoder layer.
+    """Full training loss: one match and one Hungarian loss over every layer.
 
-    ``output`` is a sequence of per-layer predictions, each exposing
-    ``class_logits`` [B,N,K+1] and ``boxes`` [B,N,4] Tensors, and
-    ``target_sets`` holds one TargetSet per image.  Matching is recomputed
-    independently on every layer's own predictions; with ``aux`` off only
-    the final layer contributes.  Returns (scalar Tensor, component dict).
+    ``output`` exposes ``class_logits`` [L,B,N,K+1] and ``boxes`` [L,B,N,4]
+    Tensors (a DetectionOutput), and ``target_sets`` holds one TargetSet per
+    image.  One ``match`` call solves all L·B (layer, image) pairs, so each
+    layer is matched on its own predictions; with ``aux`` off only the final
+    layer is selected and scored.  Returns (scalar Tensor, {"class" | "l1" |
+    "giou": per-layer array}), as ``batch_hungarian_loss``.
     """
-    layers = list(output)
+    logits, boxes = output.class_logits, output.boxes
     if not aux:
-        layers = layers[-1:]
-    total = None
-    components = {"class": 0.0, "l1": 0.0, "giou": 0.0}
-    for layer in layers:
-        assignments = match(layer.class_logits.data, layer.boxes.data, target_sets, weights)
-        value, comps = batch_hungarian_loss(layer.class_logits, layer.boxes, target_sets,
-                                            assignments, weights)
-        total = value if total is None else total + value
-        for key in components:
-            components[key] += comps[key]
-    return total, components
+        logits, boxes = T.take(logits, [-1]), T.take(boxes, [-1])
+    assignments = match(logits.data.reshape(-1, *logits.shape[2:]),
+                        boxes.data.reshape(-1, *boxes.shape[2:]),
+                        list(target_sets) * logits.shape[0], weights)
+    return batch_hungarian_loss(logits, boxes, target_sets, assignments, weights)
 
 
 def dice_loss(mask_logits: Tensor, target) -> Tensor:

@@ -597,12 +597,29 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        acc = np.zeros_like(a.data)
+        # C order, the layout of g (np.take's output): a strided source's
+        # gradient then reduces downstream as it would without the take
+        acc = np.zeros(a.shape)
         moved = np.moveaxis(acc, axis, 0)
         np.add.at(moved, indices, np.moveaxis(g, axis, 0))
         _accumulate(a, acc, owned=True)
 
     return _result(np.take(a.data, indices, axis=axis), (a,), backward)
+
+
+def stack(tensors) -> Tensor:
+    """Join equal-shape tensors on a new leading axis; backward hands each
+    parent its own slice."""
+    tensors = tuple(tensors)
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise DimensionError(f"stack: need one or more equal shapes, got "
+                             f"{[t.shape for t in tensors]}")
+
+    def backward(g):
+        for t, part in zip(tensors, g):
+            _accumulate(t, part, owned=True)    # disjoint views of a spent buffer
+
+    return _result(np.stack([t.data for t in tensors]), tensors, backward)
 
 
 # -- reductions -------------------------------------------------------------

@@ -31,7 +31,6 @@ from .detector import (
     CheckpointError,
     DetectionOutput,
     Detector,
-    LayerPrediction,
     ModelConfig,
     check_arrays,
     load_checkpoint,
@@ -248,7 +247,7 @@ def evaluate_layers(model: Detector, samples, nms_thresh: float) -> list[dict]:
     output = forward_batch(model, samples)
     targets = [s.targets for s in samples]
     rows = []
-    for layer in range(len(output.layers)):
+    for layer in range(output.class_logits.shape[0]):
         detections = postprocess(output, use_layer=layer, override_empty=False)
         plain = evaluate_detections(detections, targets, model.config.num_classes)
         with_nms = evaluate_detections([nms(dets, nms_thresh) for dets in detections],
@@ -296,7 +295,7 @@ def evaluate_panoptic(model: Detector, head: MaskHead, samples, num_things: int,
     def score(images, chunk):
         out, memory, embs = model.forward_with_internals(images)
         mask_logits = head(embs, memory, side, side).logits.data
-        probs = T.softmax(out.layers[-1].class_logits.data)[..., :-1]  # no no-object
+        probs = T.softmax(out.class_logits.data[-1])[..., :-1]  # no no-object
         return [panoptic_quality(
                     panoptic_merge(mask_logits[b], probs[b].max(axis=-1),
                                    probs[b].argmax(axis=-1), thing_classes=num_things,
@@ -320,18 +319,16 @@ def predict_batch(model: Detector, samples, use_layer: int = -1, override_empty:
 
 def forward_batch(model: Detector, samples) -> DetectionOutput:
     """Every decoder layer's predictions for all samples, from batched
-    no_grad forwards (``_map_chunks``); the arrays are [B, ...] over the
+    no_grad forwards (``_map_chunks``); the arrays are [L, B, ...] over the
     samples, in order."""
     outputs = _map_chunks(lambda images, chunk: model.forward(images), samples)
     cfg = model.config
-    # the empty leading arrays give zero samples the right shapes
-    logits = np.zeros((0, cfg.num_queries, cfg.num_classes + 1))
-    boxes = np.zeros((0, cfg.num_queries, 4))
-    return DetectionOutput([
-        LayerPrediction(
-            T.Tensor(np.concatenate([logits, *(o.layers[i].class_logits.data for o in outputs)])),
-            T.Tensor(np.concatenate([boxes, *(o.layers[i].boxes.data for o in outputs)])))
-        for i in range(cfg.dec_layers)])
+    # the empty arrays give zero samples the right [L, 0, ...] shapes
+    logits = np.zeros((cfg.dec_layers, 0, cfg.num_queries, cfg.num_classes + 1))
+    boxes = np.zeros((cfg.dec_layers, 0, cfg.num_queries, 4))
+    return DetectionOutput(
+        T.Tensor(np.concatenate([logits, *(o.class_logits.data for o in outputs)], axis=1)),
+        T.Tensor(np.concatenate([boxes, *(o.boxes.data for o in outputs)], axis=1)))
 
 
 def _map_chunks(fn, samples) -> list:
@@ -423,12 +420,11 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
             rng_step = np.random.default_rng([cfg.seed, 3, epoch, step])
             model.zero_grad()
             out = model.forward(images, train=True, rng=rng_step)
-            scored = out.layers if cfg.aux_loss else out.layers[-1:]
-            if not all(np.isfinite(x.data).all() for layer in scored
-                       for x in (layer.class_logits, layer.boxes)):
+            scored = slice(None) if cfg.aux_loss else slice(-1, None)
+            if not all(np.isfinite(x.data[scored]).all() for x in (out.class_logits, out.boxes)):
                 raise TrainingDivergedError(
                     f"non-finite model output at epoch {epoch} step {step}")
-            loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)
+            loss, comps = total_loss(out, targets, cfg.loss, aux=cfg.aux_loss)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -439,7 +435,7 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
             optimizer.step(lr_scale)
             epoch_loss += value
             for key in epoch_comps:
-                epoch_comps[key] += comps[key]
+                epoch_comps[key] += float(comps[key].sum())
             steps += 1
 
         report = evaluate_model(model, val_set)
@@ -543,7 +539,7 @@ def train_mask_head(model: Detector, cfg: TrainConfig,
 
     def frozen(images, chunk):
         out, memory, embs = model.forward_with_internals(images)
-        logits, boxes = out.layers[-1].class_logits.data, out.layers[-1].boxes.data
+        logits, boxes = out.class_logits.data[-1], out.boxes.data[-1]
         slots = [a.slot_of_target
                  for a in match(logits, boxes, [s.targets for s in chunk], cfg.loss)]
         return embs.data, memory.data, slots

@@ -125,9 +125,9 @@ MUTANTS = (
      "return self.num_classes",
      ["tests/test_training.py::TestTrainConfig::test_targets_must_fit_the_model[stuff-boxes]"]),
     ("train() reports a loss error as divergence", "training.py",
-     "            loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)\n",
+     "            loss, comps = total_loss(out, targets, cfg.loss, aux=cfg.aux_loss)\n",
      "            try:\n"
-     "                loss, comps = total_loss(out.layers, targets, cfg.loss, aux=cfg.aux_loss)\n"
+     "                loss, comps = total_loss(out, targets, cfg.loss, aux=cfg.aux_loss)\n"
      "            except ValueError as exc:\n"
      "                raise TrainingDivergedError(f\"non-finite model output: {exc}\") from exc\n",
      ["tests/test_training.py::TestTrainLoop::test_loss_errors_are_not_divergence"]),
@@ -147,6 +147,22 @@ MUTANTS = (
      "if self.model.image_side != self.data.image_side:",
      "if False:",
      ["tests/test_training.py::TestTrainConfig::test_model_and_data_sides_must_agree"]),
+    ("the loss normalizer counts the objects of every layer", "matching.py",
+     "denom = float(max(1, sum(len(t) for t in target_sets)))",
+     "denom = float(max(1, sum(len(t) for t in target_sets))) * layers",
+     ["tests/test_matching.py::TestStackedLoss::test_normalized_per_layer_not_per_stack"]),
+    ("assignments are paired with target sets image-major", "matching.py",
+     "        b = i % batch\n",
+     "        b = i // layers\n",
+     ["tests/test_matching.py::TestStackedLoss::test_equals_per_layer_loop"]),
+    ("the loss does not count target sets and assignments", "matching.py",
+     "if len(target_sets) != batch or len(assignments) != layers * batch:",
+     "if False:",
+     ["tests/test_matching.py::TestStackedLoss::test_counts_checked"]),
+    ("take's gradient keeps the source's memory order", "tensor.py",
+     "acc = np.zeros(a.shape)",
+     "acc = np.zeros_like(a.data)",
+     ["tests/test_tape.py::TestStackedLayers::test_default_step_gradients_equal_per_layer_loop"]),
 )
 
 

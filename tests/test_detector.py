@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from setdet.data import TRAIN_NAMESPACE, build_dataset
 from setdet.detector import (
     CheckpointError,
     Detection,
+    DetectionOutput,
     Detector,
     ModelConfig,
     load_checkpoint,
@@ -112,15 +115,15 @@ class TestForward:
     def test_boxes_sigmoid_bounded(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(2).random((1, 3, 16, 16)))
-        for layer in out.layers:
-            assert (layer.boxes.data >= 0).all() and (layer.boxes.data <= 1).all()
+        for boxes in out.boxes.data:
+            assert (boxes >= 0).all() and (boxes <= 1).all()
 
     def test_layer_and_slot_counts(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(3).random((1, 3, 16, 16)))
-        assert len(out.layers) == 2
-        assert out.layers[0].class_logits.shape == (1, 3, 3)   # B x N x (K+1)
-        assert out.layers[0].boxes.shape == (1, 3, 4)
+        assert len(out.class_logits.data) == 2
+        assert out.class_logits.data[0].shape == (1, 3, 3)   # B x N x (K+1)
+        assert out.boxes.data[0].shape == (1, 3, 4)
 
     def test_eval_mode_deterministic(self):
         model = tiny_model()
@@ -128,8 +131,8 @@ class TestForward:
         with T.no_grad():
             a = model.forward(image)
             b = model.forward(image)
-        assert (a.layers[-1].class_logits.data == b.layers[-1].class_logits.data).all()
-        assert (a.layers[-1].boxes.data == b.layers[-1].boxes.data).all()
+        assert (a.class_logits.data[-1] == b.class_logits.data[-1]).all()
+        assert (a.boxes.data[-1] == b.boxes.data[-1]).all()
 
     @pytest.mark.parametrize("enc,dec", [(1, 2), (2, 1)])
     def test_one_attention_node_per_attention_layer(self, monkeypatch, enc, dec):
@@ -154,8 +157,7 @@ class TestForward:
         model = tiny_model(enc_layers=enc, dec_layers=dec)
         out = model.forward(np.random.default_rng(6).random((2, 3, 16, 16)), train=True,
                             rng=np.random.default_rng(7))
-        nodes = tape_nodes([t for layer in out.layers for t in (layer.class_logits,
-                                                                 layer.boxes)])
+        nodes = tape_nodes([out.class_logits, out.boxes])
         names = [op_name(n) for n in nodes]
         # q, k, v and output projections of every attention, two FFN layers
         # per layer, and the class head and three box layers per decoder layer
@@ -172,13 +174,33 @@ class TestForward:
 
         assert not any(is_bias(p) for n in nodes if op_name(n) == "add" for p in n._parents)
 
+    def test_loss_nodes_do_not_grow_with_depth(self):
+        targets = [TargetSet.create([0], [[0.5, 0.5, 0.4, 0.4]]),
+                   TargetSet.create([1, 0], [[0.3, 0.3, 0.2, 0.3], [0.7, 0.6, 0.3, 0.2]])]
+        added = []
+        for layers in (1, 2, 6):
+            model = tiny_model(dec_layers=layers)
+            out = model.forward(np.random.default_rng(8).random((2, 3, 16, 16)), train=True,
+                                rng=np.random.default_rng(9))
+            loss, comps = total_loss(out, targets, LossWeights())
+            assert all(len(value) == layers for value in comps.values())
+            added.append(len(tape_nodes([loss])) - len(tape_nodes([out.class_logits,
+                                                                   out.boxes])))
+        # one match and one loss call score every layer: 107 loss nodes at two
+        # layers and 323 at six while each layer had its own
+        assert added[0] == added[1] == added[2] < 60
+
+    def test_layers_alias_is_the_output(self):
+        out = tiny_model().forward(np.zeros((1, 3, 16, 16)))
+        assert out.layers is out
+
     def test_default_train_step_tape_bytes(self):
         cfg = TrainConfig(seed=3)
         samples = build_dataset(cfg.data, cfg.batch_size, TRAIN_NAMESPACE, cfg.seed)
         model = Detector(cfg.model, np.random.default_rng(cfg.seed))
         out = model.forward(np.stack([s.image for s in samples]), train=True,
                             rng=np.random.default_rng(4))
-        loss, _ = total_loss(out.layers, [s.targets for s in samples], cfg.loss)
+        loss, _ = total_loss(out, [s.targets for s in samples], cfg.loss)
         # 65.1 MB measured once the Linear layers became one node each
         # (86.2 MB with separate matmul, bias add and ReLU nodes)
         assert tape_bytes(loss) < 68e6
@@ -186,7 +208,7 @@ class TestForward:
     def test_class_probabilities_sum_to_one(self):
         model = tiny_model()
         out = model.forward(np.random.default_rng(5).random((1, 3, 16, 16)))
-        logits = out.layers[-1].class_logits.data
+        logits = out.class_logits.data[-1]
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-12
@@ -199,10 +221,10 @@ class TestForward:
             batched = model.forward(images)
             singles = [model.forward(images[b:b + 1]) for b in range(2)]
         for b, single in enumerate(singles):
-            for got, want in zip(batched.layers, single.layers):
-                np.testing.assert_array_equal(got.class_logits.data[b],
-                                              want.class_logits.data[0])
-                np.testing.assert_array_equal(got.boxes.data[b], want.boxes.data[0])
+            for got, want in [(batched.class_logits, single.class_logits),
+                              (batched.boxes, single.boxes)]:
+                for got_layer, want_layer in zip(got.data, want.data):
+                    np.testing.assert_array_equal(got_layer[b], want_layer[0])
 
     def test_per_layer_loss_isolation(self):
         # each layer's loss term only sees that layer's output
@@ -211,8 +233,10 @@ class TestForward:
         out = model.forward(rng.random((1, 3, 16, 16)))
         targets = [TargetSet.create([0], [[0.5, 0.5, 0.4, 0.4]])]
         w = LossWeights()
-        full, _ = total_loss(out.layers, targets, w)
-        parts = [total_loss([layer], targets, w)[0].item() for layer in out.layers]
+        full, _ = total_loss(out, targets, w)
+        parts = [total_loss(DetectionOutput(Tensor(logits[None]), Tensor(boxes[None])),
+                            targets, w)[0].item()
+                 for logits, boxes in zip(out.class_logits.data, out.boxes.data)]
         assert full.item() == pytest.approx(sum(parts), abs=1e-12)
 
 
@@ -226,15 +250,11 @@ class TestEndToEndGradient:
         w = LossWeights()
         from setdet.matching import Assignment, batch_hungarian_loss
 
-        fixed = [Assignment(np.array([0, 2]), 3)] * 2
+        fixed = [Assignment(np.array([0, 2]), 3)] * 2     # one per layer
 
         def loss_fn(_):
             out = model.forward(image)
-            value = None
-            for layer, assignment in zip(out.layers, fixed):
-                term, _ = batch_hungarian_loss(layer.class_logits, layer.boxes, targets,
-                                               [assignment], w)
-                value = term if value is None else value + term
+            value, _ = batch_hungarian_loss(out.class_logits, out.boxes, targets, fixed, w)
             return value
 
         for name in ("object_queries", "class_head.weight", "backbone.conv0.weight"):
@@ -249,12 +269,12 @@ def probs_to_logits(probs):
 
 class TestPostprocess:
     def fake_output(self, probs, boxes=None):
-        from setdet.detector import DetectionOutput, LayerPrediction
         probs = np.asarray(probs, dtype=np.float64)
         n = probs.shape[0]
         boxes = np.tile([0.5, 0.5, 0.2, 0.2], (n, 1)) if boxes is None else boxes
-        layer = LayerPrediction(Tensor(probs_to_logits(probs)[None]), Tensor(boxes[None]))
-        return DetectionOutput([layer])          # a batch of one image
+        # one layer of a batch of one image
+        return DetectionOutput(Tensor(probs_to_logits(probs)[None, None]),
+                               Tensor(boxes[None, None]))
 
     def test_real_class_argmax(self):
         out = self.fake_output([[0.7, 0.3]])    # K=1, no-object index 1
@@ -272,13 +292,14 @@ class TestPostprocess:
         out = self.fake_output([[0.1, 0.3, 0.6]])
         assert postprocess(out, override_empty=False) == [[]]
 
+    def two_layer_output(self):
+        boxes = Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 1, 1)))
+        return DetectionOutput(T.stack([Tensor(probs_to_logits([[[0.9, 0.1]]])),
+                                        Tensor(probs_to_logits([[[0.2, 0.8]]]))]),
+                               T.stack([boxes, boxes]))
+
     def test_use_layer_selects(self):
-        from setdet.detector import DetectionOutput, LayerPrediction
-        l0 = LayerPrediction(Tensor(probs_to_logits([[[0.9, 0.1]]])),
-                             Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 1, 1))))
-        l1 = LayerPrediction(Tensor(probs_to_logits([[[0.2, 0.8]]])),
-                             Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 1, 1))))
-        out = DetectionOutput([l0, l1])
+        out = self.two_layer_output()
         assert len(postprocess(out, use_layer=0, override_empty=False)[0]) == 1
         assert postprocess(out, use_layer=1, override_empty=False) == [[]]
         assert len(postprocess(out, use_layer=-2, override_empty=False)[0]) == 1
@@ -286,6 +307,14 @@ class TestPostprocess:
             with pytest.raises(ValueError, match=f"^use_layer {index} is out of range "
                                                  f"for 2 decoder layers"):
                 postprocess(out, use_layer=index)
+
+    @pytest.mark.parametrize("index", [True, 1.0, np.int64(1), "1"],
+                             ids=["bool", "float", "numpy-int", "str"])
+    def test_use_layer_must_be_an_int(self, index):
+        # True once selected layer 1, and 1.0 raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^use_layer {re.escape(repr(index))} is out "
+                                             f"of range for 2 decoder layers"):
+            postprocess(self.two_layer_output(), use_layer=index)
 
 
 class TestCheckpoint:

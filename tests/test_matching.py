@@ -7,6 +7,7 @@ import pytest
 from setdet import boxes as B
 from setdet import matching as M
 from setdet import tensor as T
+from setdet.detector import DetectionOutput
 from setdet.matching import (
     Assignment,
     AssignmentError,
@@ -397,7 +398,8 @@ class TestTargetClassRange:
         logits, boxes, targets = self._batch(cls)
         assignments = [Assignment(np.array([0]), 4), Assignment(np.array([1, 2]), 4)]
         with pytest.raises(ValueError, match=rf"^image 1: target class {cls} .*K = 2$"):
-            M.batch_hungarian_loss(Tensor(logits), Tensor(boxes), targets, assignments, W)
+            M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]), targets,
+                                   assignments, W)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +429,7 @@ class TestHungarianLoss:
         logits = np.zeros((2, 3))
         logits[:, 2] = 60.0       # certain no-object
         boxes = np.tile([0.5, 0.5, 0.2, 0.2], (2, 1))
-        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None, None]), Tensor(boxes[None, None]),
                                          [TargetSet.empty()],
                                          [Assignment(np.zeros(0, dtype=np.int64), 2)], W)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
@@ -439,7 +441,7 @@ class TestHungarianLoss:
         logits[1, 2] = 40.0       # slot 1 certain no-object
         boxes = np.stack([box, [0.5, 0.5, 0.1, 0.1]])
         targets = TargetSet.create([1], [box])
-        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None, None]), Tensor(boxes[None, None]),
                                          [targets], [Assignment(np.array([0]), 2)], W)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -449,7 +451,7 @@ class TestHungarianLoss:
         boxes = random_boxes(rng, 3)
         targets = TargetSet.create([1, 2], random_boxes(rng, 2))
         slots = np.array([2, 0])
-        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None, None]), Tensor(boxes[None, None]),
                                          [targets], [Assignment(slots, 3)], W)
         want = scalar_loss_oracle(logits, boxes, targets, slots, W)
         assert loss.item() == pytest.approx(want, abs=1e-12)
@@ -461,33 +463,32 @@ class TestHungarianLoss:
         targets = TargetSet.create([0, 2], random_boxes(rng, 2))
         assignment = Assignment(np.array([1, 0]), 3)
 
-        lx = Tensor(logits[None])
+        lx = Tensor(logits[None, None])
         err = grad_check(
-            lambda t: M.batch_hungarian_loss(t, Tensor(boxes[None]), [targets],
+            lambda t: M.batch_hungarian_loss(t, Tensor(boxes[None, None]), [targets],
                                              [assignment], W)[0],
             lx, eps=1e-5)
         assert err <= 1e-5
 
-        bx = Tensor(boxes[None])
+        bx = Tensor(boxes[None, None])
         err = grad_check(
-            lambda t: M.batch_hungarian_loss(Tensor(logits[None]), t, [targets],
+            lambda t: M.batch_hungarian_loss(Tensor(logits[None, None]), t, [targets],
                                              [assignment], W)[0],
             bx, eps=1e-5)
         assert err <= 1e-5
 
     def test_invalid_assignment_rejected(self):
-        logits = Tensor(np.zeros((1, 2, 3)))
-        boxes = Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 2, 1)))
+        logits = Tensor(np.zeros((1, 1, 2, 3)))
+        boxes = Tensor(np.tile([0.5, 0.5, 0.2, 0.2], (1, 1, 2, 1)))
         targets = TargetSet.create([0], [[0.5, 0.5, 0.2, 0.2]])
         with pytest.raises(AssignmentError):
             M.batch_hungarian_loss(logits, boxes, [targets],
                                    [Assignment(np.array([0, 1]), 2)], W)
 
 
-class _FakeLayer:
-    def __init__(self, logits, boxes):
-        self.class_logits = logits
-        self.boxes = boxes
+def stacked(*layers):
+    """A DetectionOutput of (logits, boxes) layer pairs, final layer last."""
+    return DetectionOutput(T.stack([lg for lg, _ in layers]), T.stack([bx for _, bx in layers]))
 
 
 class TestTotalLoss:
@@ -501,16 +502,17 @@ class TestTotalLoss:
 
     def test_single_layer_equals_hungarian_loss(self):
         logits, boxes, targets = self._instance(12)
-        out = [_FakeLayer(logits, boxes)]
+        out = stacked((logits, boxes))
         value, _ = M.total_loss(out, targets, W)
         assignment = M.match(logits.data, boxes.data, targets, W)[0]
-        direct, _ = M.batch_hungarian_loss(logits, boxes, targets, [assignment], W)
+        direct, _ = M.batch_hungarian_loss(T.stack([logits]), T.stack([boxes]), targets,
+                                           [assignment], W)
         assert value.item() == pytest.approx(direct.item(), abs=1e-12)
 
     def test_duplicated_layer_doubles(self):
         logits, boxes, targets = self._instance(13)
-        one, _ = M.total_loss([_FakeLayer(logits, boxes)], targets, W)
-        two, _ = M.total_loss([_FakeLayer(logits, boxes)] * 2, targets, W)
+        one, _ = M.total_loss(stacked((logits, boxes)), targets, W)
+        two, _ = M.total_loss(stacked(*[(logits, boxes)] * 2), targets, W)
         assert two.item() == pytest.approx(2 * one.item(), abs=1e-12)
 
     def test_two_layers_vs_per_layer_oracle(self):
@@ -518,7 +520,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(15)
         l1 = Tensor(rng.normal(size=(1, 4, 3)))
         b1 = Tensor(random_boxes(rng, 4)[None])
-        value, _ = M.total_loss([_FakeLayer(l0, b0), _FakeLayer(l1, b1)], targets, W)
+        value, _ = M.total_loss(stacked((l0, b0), (l1, b1)), targets, W)
         want = 0.0
         for lg, bx in [(l0, b0), (l1, b1)]:
             a = M.match(lg.data, bx.data, targets, W)[0]
@@ -531,9 +533,8 @@ class TestTotalLoss:
         rng = np.random.default_rng(17)
         l1 = Tensor(rng.normal(size=(1, 4, 3)))
         b1 = Tensor(random_boxes(rng, 4)[None])
-        value, _ = M.total_loss([_FakeLayer(l0, b0), _FakeLayer(l1, b1)], targets, W,
-                                aux=False)
-        only_last, _ = M.total_loss([_FakeLayer(l1, b1)], targets, W)
+        value, _ = M.total_loss(stacked((l0, b0), (l1, b1)), targets, W, aux=False)
+        only_last, _ = M.total_loss(stacked((l1, b1)), targets, W)
         assert value.item() == pytest.approx(only_last.item(), abs=1e-12)
 
     def test_batch_normalization_uses_batch_count(self):
@@ -543,13 +544,129 @@ class TestTotalLoss:
         boxes = Tensor(np.stack([random_boxes(rng, 4), random_boxes(rng, 4)]))
         t1 = TargetSet.create([0], random_boxes(rng, 1))
         t2 = TargetSet.create([0, 1, 1], random_boxes(rng, 3))
-        value, _ = M.total_loss([_FakeLayer(logits, boxes)], [t1, t2], W)
+        value, _ = M.total_loss(stacked((logits, boxes)), [t1, t2], W)
         want = 0.0
         for b, targets in enumerate([t1, t2]):
             a = M.match(logits.data[b:b + 1], boxes.data[b:b + 1], [targets], W)[0]
             want += scalar_loss_oracle(logits.data[b], boxes.data[b], targets,
                                        a.slot_of_target, W, num_objects=4)
         assert value.item() == pytest.approx(want, abs=1e-12)
+
+
+def layer_loss_reference(class_logits, pred_boxes, target_sets, assignments, weights):
+    """``batch_hungarian_loss`` of one decoder layer, as it was before the
+    layers were stacked: [B,N,K+1] logits and [B,N,4] boxes, one assignment
+    per image; returns (scalar Tensor, component floats)."""
+    batch, n_slots, k_plus_1 = class_logits.shape
+    no_object = k_plus_1 - 1
+    denom = float(max(1, sum(len(t) for t in target_sets)))
+    weight_mask = np.zeros((batch, n_slots, k_plus_1))
+    weight_mask[:, :, no_object] = weights.eos
+    matched_rows = []
+    matched_targets = []
+    for b, (targets, assignment) in enumerate(zip(target_sets, assignments)):
+        slots = assignment.slot_of_target
+        weight_mask[b, slots, no_object] = 0.0
+        weight_mask[b, slots, targets.classes] = 1.0
+        matched_rows.extend(b * n_slots + slots)
+        matched_targets.append(targets.boxes)
+    log_probs = T.log_softmax_lastdim(class_logits)
+    class_term = T.tsum(log_probs * Tensor(weight_mask)) * (-1.0 / denom)
+    l1_value = giou_value = 0.0
+    if matched_rows:
+        flat = T.reshape(pred_boxes, (batch * n_slots, 4))
+        pred = T.take(flat, np.asarray(matched_rows, dtype=np.intp), axis=0)
+        target = np.concatenate(matched_targets, axis=0)
+        l1_term = T.tsum(B.l1_tensor(pred, target)) * (weights.l1 / denom)
+        giou_term = T.tsum(1.0 - B.giou_tensor(pred, target)) * (weights.giou / denom)
+        l1_value, giou_value = l1_term.item(), giou_term.item()
+        total = class_term + l1_term + giou_term
+    else:
+        total = class_term
+    return total, {"class": class_term.item(), "l1": l1_value, "giou": giou_value}
+
+
+def per_layer_total_loss(layers, target_sets, weights, aux=True):
+    """``total_loss`` as it was before the layers were stacked: a ``match``
+    and a loss call per (logits, boxes) layer, added in order.  Returns the
+    scalar and each scored layer's component dict."""
+    layers = list(layers) if aux else list(layers)[-1:]
+    total, components = None, []
+    for logits, boxes in layers:
+        assignments = M.match(logits.data, boxes.data, target_sets, weights)
+        value, comps = layer_loss_reference(logits, boxes, target_sets, assignments, weights)
+        total = value if total is None else total + value
+        components.append(comps)
+    return total, components
+
+
+def random_layers(rng, layers, batch, n_slots, k, transposed):
+    """``layers`` pairs of leaf [B,N,K+1] logits and [B,N,4] boxes; transposed
+    leaves are laid out [B,K+1,N] and [B,4,N] in memory, as the heads' are."""
+    def leaf(width, draw):
+        data = draw((batch, n_slots, width))
+        if transposed:
+            data = np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return Tensor(data, requires_grad=True)
+
+    return [(leaf(k + 1, lambda shape: rng.normal(size=shape)),
+             leaf(4, lambda shape: random_boxes(rng, math.prod(shape[:2])).reshape(shape)))
+            for _ in range(layers)]
+
+
+class TestStackedLoss:
+    """One match and one loss call over stacked layers against the per-layer loop."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "heads-layout"])
+    @pytest.mark.parametrize("aux", [True, False], ids=["aux", "final-only"])
+    @pytest.mark.parametrize("layers", [1, 2, 6])
+    def test_equals_per_layer_loop(self, layers, aux, transposed):
+        rng = np.random.default_rng([layers, aux, transposed])
+        for trial in range(12):
+            batch, n_slots, k = int(rng.integers(1, 5)), int(rng.integers(1, 7)), 3
+            counts = rng.integers(0, n_slots + 1, batch) * (trial != 0)  # trial 0: all empty
+            targets = [TargetSet.create(rng.integers(0, k, c), random_boxes(rng, c))
+                       for c in counts]
+            new = random_layers(rng, layers, batch, n_slots, k, transposed)
+            old = [(Tensor(lg.data.copy(), requires_grad=True),
+                    Tensor(bx.data.copy(), requires_grad=True)) for lg, bx in new]
+            loss, comps = M.total_loss(stacked(*new), targets, W, aux=aux)
+            want, want_comps = per_layer_total_loss(old, targets, W, aux=aux)
+            assert loss.data.tobytes() == want.data.tobytes()
+            for key in ("class", "l1", "giou"):
+                assert comps[key].tolist() == [c[key] for c in want_comps]
+            loss.backward()
+            want.backward()
+            for got_leaf, want_leaf in zip((t for pair in new for t in pair),
+                                           (t for pair in old for t in pair)):
+                if want_leaf.grad is None:       # unscored layer, or boxes with no match
+                    assert got_leaf.grad is None or not got_leaf.grad.any()
+                else:
+                    assert got_leaf.grad.tobytes() == want_leaf.grad.tobytes()
+
+    def test_normalized_per_layer_not_per_stack(self):
+        logits, boxes, targets = TestTotalLoss()._instance(24)
+        one, one_comps = M.total_loss(stacked((logits, boxes)), targets, W)
+        three, comps = M.total_loss(stacked(*[(logits, boxes)] * 3), targets, W)
+        assert three.item() == pytest.approx(3 * one.item(), abs=1e-12)
+        for key in comps:
+            assert comps[key].tolist() == one_comps[key].tolist() * 3
+
+    @pytest.mark.parametrize("sets, pairs", [(2, 1), (1, 1), (2, 3), (1, 2)],
+                             ids=["one-pair-short", "one-set-short", "one-pair-over",
+                                  "pairs-without-sets"])
+    def test_counts_checked(self, sets, pairs):
+        # 2 layers of B=2 images need 2 target sets and 4 assignments; two
+        # sets with one assignment once scored half the batch silently
+        rng = np.random.default_rng(25)
+        logits = Tensor(rng.normal(size=(2, 2, 3, 3)))
+        boxes = Tensor(random_boxes(rng, 12).reshape(2, 2, 3, 4))
+        targets = [TargetSet.create([0], random_boxes(rng, 1))] * sets
+        assignments = [Assignment(np.array([1]), 3)] * 2 * pairs
+        with pytest.raises(AssignmentError, match=r"^2 layers of 2 images need 2 target "
+                                                  rf"sets and 4 assignments, got {sets} "
+                                                  rf"and {2 * pairs}$"):
+            M.batch_hungarian_loss(logits, boxes, targets, assignments, W)
 
 
 def test_permutation_invariance_of_min_cost_and_loss():
@@ -563,14 +680,14 @@ def test_permutation_invariance_of_min_cost_and_loss():
 
         cost = M.matching_cost_matrix(logits[None], boxes[None], [targets], W)[0]
         a = M.hungarian_assign(cost)
-        loss, _ = M.batch_hungarian_loss(Tensor(logits[None]), Tensor(boxes[None]),
+        loss, _ = M.batch_hungarian_loss(Tensor(logits[None, None]), Tensor(boxes[None, None]),
                                          [targets], [a], W)
 
         perm = rng.permutation(n)
         cost_p = M.matching_cost_matrix(logits[perm][None], boxes[perm][None], [targets], W)[0]
         a_p = M.hungarian_assign(cost_p)
-        loss_p, _ = M.batch_hungarian_loss(Tensor(logits[perm][None]),
-                                           Tensor(boxes[perm][None]), [targets], [a_p], W)
+        loss_p, _ = M.batch_hungarian_loss(Tensor(logits[perm][None, None]),
+                                           Tensor(boxes[perm][None, None]), [targets], [a_p], W)
         assert abs(assigned_cost(a, cost) - assigned_cost(a_p, cost_p)) <= 1e-12
         assert abs(loss.item() - loss_p.item()) <= 1e-12
 

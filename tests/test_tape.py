@@ -15,6 +15,7 @@ from setdet.tensor import TapeError, Tensor
 from setdet.training import AdamW, TrainConfig
 
 from test_detector import tape_bytes, tape_nodes, tiny_model
+from test_matching import per_layer_total_loss
 
 
 def old_walk(root):
@@ -47,14 +48,14 @@ def default_step(seed):
     model = Detector(cfg.model, np.random.default_rng(cfg.seed))
     out = model.forward(np.stack([s.image for s in samples]), train=True,
                         rng=np.random.default_rng([seed, 4]))
-    loss, _ = total_loss(out.layers, [s.targets for s in samples], cfg.loss)
+    loss, _ = total_loss(out, [s.targets for s in samples], cfg.loss)
     return model, out, loss
 
 
 def tiny_step(model, seed=0):
     rng = np.random.default_rng(seed)
     out = model.forward(rng.random((2, 3, 16, 16)), train=True, rng=rng)
-    return T.tsum(out.layers[-1].boxes) + T.tsum(out.layers[0].class_logits)
+    return T.tsum(T.take(out.boxes, [-1])) + T.tsum(T.take(out.class_logits, [0]))
 
 
 def grads(model):
@@ -91,7 +92,7 @@ class TestFreeingWalk:
         tracemalloc.start()
         try:
             out = model.forward(images, train=True, rng=np.random.default_rng(4))
-            loss, _ = total_loss(out.layers, [s.targets for s in samples], cfg.loss)
+            loss, _ = total_loss(out, [s.targets for s in samples], cfg.loss)
             loss.backward()
             held, peak = tracemalloc.get_traced_memory()
         finally:
@@ -119,6 +120,34 @@ class TestFreeingWalk:
         assert x.grad.tolist() == 1.0
 
 
+class TestStackedLayers:
+    @pytest.mark.parametrize("aux", [True, False], ids=["aux", "final-only"])
+    def test_default_step_gradients_equal_per_layer_loop(self, monkeypatch, aux):
+        # the reference forward keeps each layer's own tensors, as the model
+        # did before its output was stacked, and scores them one by one
+        def step(per_layer):
+            cfg = TrainConfig(seed=5)
+            samples = build_dataset(cfg.data, cfg.batch_size, TRAIN_NAMESPACE, cfg.seed)
+            targets = [s.targets for s in samples]
+            model = Detector(cfg.model, np.random.default_rng(cfg.seed))
+            out = model.forward(np.stack([s.image for s in samples]), train=True,
+                                rng=np.random.default_rng([5, 4]))
+            if per_layer:
+                loss, _ = per_layer_total_loss(zip(out.class_logits, out.boxes), targets,
+                                               cfg.loss, aux=aux)
+            else:
+                loss, _ = total_loss(out, targets, cfg.loss, aux=aux)
+            loss.backward()
+            return loss, grads(model)
+
+        loss, got = step(per_layer=False)
+        monkeypatch.setattr(T, "stack", list)
+        want_loss, want = step(per_layer=True)
+        assert loss.data.tobytes() == want_loss.data.tobytes()
+        assert len(want) == 103 and all(w is not None for w in want)
+        assert_grads_equal(got, want)
+
+
 class TestRefusedWalks:
     def test_second_walk(self):
         model = tiny_model()
@@ -133,12 +162,12 @@ class TestRefusedWalks:
         model = tiny_model()
         rng = np.random.default_rng(0)
         out = model.forward(rng.random((2, 3, 16, 16)), train=True, rng=rng)
-        T.tsum(out.layers[-1].boxes).backward()
+        T.tsum(T.take(out.boxes, [-1])).backward()
         before = grads(model)
         other = tiny_model(seed=1)
-        fresh = T.tsum(other.forward(rng.random((2, 3, 16, 16))).layers[-1].boxes)
+        fresh = T.tsum(T.take(other.forward(rng.random((2, 3, 16, 16))).boxes, [-1]))
         with pytest.raises(TapeError, match="walked once"):
-            (fresh + T.tsum(out.layers[-1].class_logits)).backward()
+            (fresh + T.tsum(T.take(out.class_logits, [-1]))).backward()
         assert_grads_equal(grads(model), before)
         assert all(g is None for g in grads(other))
 

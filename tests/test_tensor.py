@@ -181,6 +181,31 @@ def test_structural_op_gradients():
     assert grad_check(lambda t: scalarize(T.tsum(t, axis=(0, 2))), x, eps=1e-5) <= 1e-5
 
 
+class TestStack:
+    def test_gradients(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.uniform(-2, 2, (2, 3)))
+        other = Tensor(rng.uniform(-2, 2, (2, 3)))
+        assert grad_check(lambda t: scalarize(T.stack([t, other, t])), x, eps=1e-5) <= 1e-5
+        assert grad_check(lambda t: scalarize(T.stack([T.transpose(t), T.transpose(other)])),
+                          x, eps=1e-5) <= 1e-5
+
+    def test_each_parent_gets_its_own_slice(self):
+        a = Tensor(np.zeros((2, 2)), requires_grad=True)
+        c = Tensor(np.ones((2, 2)), requires_grad=True)
+        out = T.stack([a, T.transpose(c)])
+        assert out.shape == (2, 2, 2)
+        T.tsum(out * Tensor(np.arange(8.0).reshape(2, 2, 2))).backward()
+        assert a.grad.tolist() == [[0, 1], [2, 3]]
+        assert c.grad.tolist() == [[4, 6], [5, 7]]
+
+    @pytest.mark.parametrize("shapes", [[], [(2, 3), (3, 2)], [(2, 3), (2, 3), (2, 3, 1)]],
+                             ids=["empty", "transposed", "extra-axis"])
+    def test_needs_equal_shapes(self, shapes):
+        with pytest.raises(DimensionError, match="^stack: need one or more equal shapes"):
+            T.stack([Tensor(np.zeros(shape)) for shape in shapes])
+
+
 def test_broadcast_gradients():
     rng = np.random.default_rng(14)
     x = Tensor(rng.uniform(-2, 2, (3, 1)))
@@ -459,7 +484,7 @@ class TestConv2d:
                                                  [0.7, 0.6, 0.3, 0.2]])]
             out = model.forward(rng.random((2, 3, 16, 16)), train=True,
                                 rng=np.random.default_rng(23))
-            loss, _ = total_loss(out.layers, targets, LossWeights())
+            loss, _ = total_loss(out, targets, LossWeights())
             loss.backward()
             return {p.name: p.tensor.grad for p in model.parameters()}
 

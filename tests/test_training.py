@@ -622,7 +622,7 @@ class TestPredictBatch:
             batch = samples[:4]
             out = model.forward(np.stack([s.image for s in batch]), train=True,
                                 rng=np.random.default_rng(0))
-            loss, _ = total_loss(out.layers, [s.targets for s in batch],
+            loss, _ = total_loss(out, [s.targets for s in batch],
                                  LossWeights())
             loss.backward()
             return [p.tensor.grad for p in model.parameters()]
@@ -698,7 +698,7 @@ def eval_panoptic_reference(model, head, samples, num_things, conf_thresh):
         with T.no_grad():
             out, memory, embs = model.forward_with_internals(sample.image[None])
             mask_out = head(embs, memory, side, side)      # the head takes a batch of one
-        probs_all = T.softmax(out.layers[-1].class_logits.data[0])[:, :-1]
+        probs_all = T.softmax(out.class_logits.data[-1, 0])[:, :-1]
         confidences = probs_all.max(axis=-1)
         classes = probs_all.argmax(axis=-1)
         pred = panoptic_merge(mask_out.logits.data[0], confidences, classes,
