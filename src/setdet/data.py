@@ -2,8 +2,11 @@
 
 Scenes are rendered back-to-front: filled rectangles, discs and
 triangles with per-class base colors and jitter, over one or two stuff
-background bands.  Boxes tightly bound each object's own rasterized
-extent; per-object masks keep only the visible (un-occluded) pixels.
+background bands.  Each shape is rasterized only inside its window, the
+block of pixels its extent can reach plus a pixel of margin; its box, its
+overlap with earlier objects and its label write are all worked out on
+that block.  Boxes tightly bound each object's own rasterized extent;
+per-object masks keep only the visible (un-occluded) pixels.
 Generation is a pure function of the supplied RNG, so datasets are
 reproducible bit-for-bit from (seed, index).
 
@@ -18,7 +21,9 @@ about 8 KB instead of the 128 KB of a float64 image and stuff map.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -180,45 +185,70 @@ def _index_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(max(size - 1, 0))
 
 
-def _pixel_grid(side: int):
-    ys, xs = np.mgrid[0:side, 0:side].astype(np.float64)
-    return ys, xs
+@functools.lru_cache(maxsize=None)
+def _coords(side: int) -> np.ndarray:
+    """Pixel-centre coordinates 0..side-1 as float64, shared and read-only."""
+    coords = np.arange(side, dtype=np.float64)
+    coords.flags.writeable = False
+    return coords
+
+
+def _span(centre: float, half: float, side: int) -> slice:
+    """The pixels of one axis a shape reaching ``half`` either side of
+    ``centre`` can cover, clipped to the frame.
+
+    A pixel p passes a shape's test only if |p - centre| <= half up to
+    rounding, so floor(centre - half) <= p <= floor(centre + half); one
+    more pixel on each side absorbs any rounding of those bounds.
+    """
+    lo = min(max(math.floor(centre - half) - 1, 0), side)
+    return slice(lo, max(min(math.floor(centre + half) + 2, side), lo))
 
 
 def _raster(shape: int, side: int, cx: float, cy: float, size_x: float,
-            size_y: float) -> np.ndarray:
-    """Rasterize one shape onto pixel centers; kind cycles rect/disc/triangle."""
-    ys, xs = _pixel_grid(side)
+            size_y: float) -> tuple[slice, slice, np.ndarray]:
+    """Rasterize one shape onto pixel centres; kind cycles rect/disc/triangle.
+
+    The shape is tested only inside its window, the block of the
+    side x side frame that its extent can reach (``_span``), and every
+    pixel outside it is false.  Returns the window's row and column slices
+    and the window's mask, each pixel decided by the same float64 test as
+    on the whole frame.
+    """
     kind = shape % 3
+    half_x, half_y = size_x / 2, size_y / 2
+    if kind == 1:                              # a disc takes the smaller size
+        half_x = half_y = min(size_x, size_y) / 2
+    rows, cols = _span(cy, half_y, side), _span(cx, half_x, side)
+    ys, xs = _coords(side)[rows, None], _coords(side)[cols]
     if kind == 0:
-        return (np.abs(xs - cx) <= size_x / 2) & (np.abs(ys - cy) <= size_y / 2)
+        return rows, cols, (np.abs(xs - cx) <= half_x) & (np.abs(ys - cy) <= half_y)
     if kind == 1:
-        r = min(size_x, size_y) / 2
-        return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+        return rows, cols, (xs - cx) ** 2 + (ys - cy) ** 2 <= half_x * half_x
     # upward triangle: apex on top, base at the bottom edge of the extent
-    half_w = size_x / 2
-    h = size_y
-    top = cy - h / 2
-    bottom = cy + h / 2
-    inside_y = (ys >= top) & (ys <= bottom)
-    frac = np.clip((ys - top) / max(h, 1e-9), 0.0, 1.0)
-    return inside_y & (np.abs(xs - cx) <= frac * half_w)
+    top = cy - half_y
+    inside_y = (ys >= top) & (ys <= cy + half_y)
+    frac = np.clip((ys - top) / max(size_y, 1e-9), 0.0, 1.0)
+    return rows, cols, inside_y & (np.abs(xs - cx) <= frac * half_x)
 
 
-def _extent_box(mask: np.ndarray) -> np.ndarray:
-    """Tight normalized (cx, cy, w, h) around a mask's true pixels."""
-    side_y, side_x = mask.shape
+def _extent_box(mask: np.ndarray, side: int, top: int = 0, left: int = 0) -> np.ndarray:
+    """Tight normalized (cx, cy, w, h) around a mask's true pixels.
+
+    ``mask`` is the block of a side x side frame whose first pixel is
+    row ``top``, column ``left``.
+    """
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if len(rows) == 0:
         raise GenerationError("shape rasterized to an empty mask")
-    y0, y1 = rows[0], rows[-1]
-    x0, x1 = cols[0], cols[-1]
+    y0, y1 = rows[0] + top, rows[-1] + top
+    x0, x1 = cols[0] + left, cols[-1] + left
     return np.array([
-        (x0 + x1 + 1) / 2.0 / side_x,
-        (y0 + y1 + 1) / 2.0 / side_y,
-        (x1 - x0 + 1) / side_x,
-        (y1 - y0 + 1) / side_y,
+        (x0 + x1 + 1) / 2.0 / side,
+        (y0 + y1 + 1) / 2.0 / side,
+        (x1 - x0 + 1) / side,
+        (y1 - y0 + 1) / side,
     ])
 
 
@@ -249,13 +279,12 @@ def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator) -> Sample:
     num_bands = len(palette)
     count = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     labels = bands.astype(_index_dtype(num_bands + count))
-    own_masks: list[np.ndarray] = []
+    placed: list[tuple] = []          # (rows, cols, mask, area) of each object
     classes: list[int] = []
     boxes: list[np.ndarray] = []
 
     for _ in range(count):
         cls = int(rng.integers(0, cfg.num_classes))
-        placed = False
         for _ in range(100):
             sx = rng.uniform(*cfg.size_range)
             sy = rng.uniform(*cfg.size_range)
@@ -263,27 +292,24 @@ def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator) -> Sample:
                 sy = sx                        # discs are round
             cx = rng.uniform(sx / 2 + 1.0, side - 1.0 - sx / 2)
             cy = rng.uniform(sy / 2 + 1.0, side - 1.0 - sy / 2)
-            mask = _raster(cls, side, cx, cy, sx, sy)
-            if not mask.any():
-                continue
-            if _visibility_ok(own_masks, mask, cfg.min_visible):
-                placed = True
+            rows, cols, mask = _raster(cls, side, cx, cy, sx, sy)
+            if mask.any() and _visibility_ok(placed, rows, cols, mask, cfg.min_visible):
                 break
-        if not placed:
+        else:
             raise GenerationError(
-                f"could not place object {len(own_masks)} within 100 retries")
-        own_masks.append(mask)
+                f"could not place object {len(placed)} within 100 retries")
+        placed.append((rows, cols, mask, np.count_nonzero(mask)))
         classes.append(cls)
-        boxes.append(_extent_box(mask))
+        boxes.append(_extent_box(mask, side, rows.start, cols.start))
         jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, 3)
-        labels[mask] = len(palette)
+        labels[rows, cols][mask] = len(palette)
         palette.append(np.clip(_THING_COLORS[cls] + jitter, 0.0, 1.0))
 
     mask_labels = list(range(num_bands, num_bands + count))
     if cfg.include_stuff_boxes:
         for band in range(num_bands):
             classes.append(cfg.num_classes + band)
-            boxes.append(_extent_box(bands == band))
+            boxes.append(_extent_box(bands == band, side))
             mask_labels.append(band)          # the band's pixels no object covers
     targets = (TargetSet.create(classes, np.stack(boxes)) if classes
                else TargetSet.empty())
@@ -292,11 +318,25 @@ def generate_scene(cfg: SyntheticConfig, rng: np.random.Generator) -> Sample:
                   stuff_map=bands + np.uint8(cfg.num_classes))
 
 
-def _visibility_ok(own_masks, new_mask, min_visible) -> bool:
-    cover = new_mask
-    for prev in own_masks:
-        remaining = prev & ~cover
-        if remaining.sum() < min_visible * prev.sum():
+def _visibility_ok(placed, rows, cols, mask, min_visible) -> bool:
+    """Whether each earlier object keeps ``min_visible`` of its area
+    uncovered by the new one.
+
+    ``placed`` holds each earlier object's window, mask and pixel count;
+    the new object is ``mask`` on the window ``rows``, ``cols``.  Two
+    shapes can share only pixels where their windows meet, so the overlap
+    is counted on that block alone.
+    """
+    for prev_rows, prev_cols, prev, area in placed:
+        y0, y1 = max(rows.start, prev_rows.start), min(rows.stop, prev_rows.stop)
+        x0, x1 = max(cols.start, prev_cols.start), min(cols.stop, prev_cols.stop)
+        if y0 >= y1 or x0 >= x1:
+            continue                          # the windows do not meet
+        overlap = np.count_nonzero(
+            prev[y0 - prev_rows.start:y1 - prev_rows.start,
+                 x0 - prev_cols.start:x1 - prev_cols.start]
+            & mask[y0 - rows.start:y1 - rows.start, x0 - cols.start:x1 - cols.start])
+        if area - overlap < min_visible * area:
             return False
     return True
 
@@ -331,9 +371,9 @@ def grid_instances_scene(class_id: int, count: int, rng: np.random.Generator,
         gy, gx = divmod(cell_idx, 10)
         cx = gx * cell + cell // 2
         cy = gy * cell + cell // 2
-        mask = _raster(class_id, side, cx, cy, object_size, object_size)
-        boxes.append(_extent_box(mask))
-        labels[mask] = len(boxes)
+        rows, cols, mask = _raster(class_id, side, cx, cy, object_size, object_size)
+        boxes.append(_extent_box(mask, side, rows.start, cols.start))
+        labels[rows, cols][mask] = len(boxes)
     targets = (TargetSet.create([class_id] * count, np.stack(boxes)) if count
                else TargetSet.empty())
     palette = np.repeat(_THING_COLORS[class_id][:, None], 1 + count, axis=1)

@@ -276,20 +276,17 @@ def postprocess(output: DetectionOutput, use_layer: int = -1,
     count = output.class_logits.shape[0]
     if type(use_layer) is not int or not -count <= use_layer < count:
         raise ValueError(f"use_layer {use_layer!r} is out of range for {count} decoder layers")
-    probs = T.softmax(output.class_logits.data[use_layer])
+    probs = T.softmax(output.class_logits.data[use_layer])     # [B, N, K+1]
     no_object = probs.shape[-1] - 1
-    batch = []
-    for image_probs, image_boxes in zip(probs, output.boxes.data[use_layer]):
-        detections = []
-        for p, box in zip(image_probs, image_boxes):
-            best = int(np.argmax(p))
-            if best == no_object:
-                if not override_empty:
-                    continue
-                best = int(np.argmax(p[:no_object]))
-            detections.append(Detection(best, float(p[best]), box.copy()))
-        batch.append(detections)
-    return batch
+    best = probs.argmax(axis=-1)                                # [B, N]
+    keep = best != no_object
+    if override_empty:
+        best = np.where(keep, best, probs[..., :no_object].argmax(axis=-1))
+        keep[:] = True
+    confidence = np.take_along_axis(probs, best[..., None], axis=-1)[..., 0]
+    return [[Detection(c, p, box.copy()) for c, p, box, k in zip(cs, ps, bs, ks) if k]
+            for cs, ps, bs, ks in zip(best.tolist(), confidence.tolist(),
+                                      output.boxes.data[use_layer], keep.tolist())]
 
 
 # -- checkpoint io ------------------------------------------------------------

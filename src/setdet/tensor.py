@@ -118,11 +118,12 @@ class Tensor:
 
         The walk frees the graph: each interior node loses its gradient,
         closure and parent links once its closure has run, and only the
-        leaves and this root keep ``grad``.  Raises ``TapeError``, before
-        any gradient is written, when this tensor has no tape (it was
-        computed under ``no_grad`` or from constants), when the graph
-        reaches a node an earlier ``backward()`` walked, or when a tensor
-        the tape read was written in place after the forward pass.
+        leaves and this root keep ``grad``.  A node that no gradient
+        reached is freed without running its closure.  Raises
+        ``TapeError``, before any gradient is written, when this tensor has
+        no tape (it was computed under ``no_grad`` or from constants), when
+        the graph reaches a node an earlier ``backward()`` walked, or when a
+        tensor the tape read was written in place after the forward pass.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -159,7 +160,8 @@ class Tensor:
         while topo:
             node = topo.pop()
             if node._backward is not None:
-                node._backward(node.grad)
+                if node.grad is not None:
+                    node._backward(node.grad)
                 if node is not self:
                     node.grad = None
                 node._backward = _spent
@@ -609,7 +611,7 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 
 def stack(tensors) -> Tensor:
     """Join equal-shape tensors on a new leading axis; backward hands each
-    parent its own slice."""
+    parent its own slice, unless that slice is all zero."""
     tensors = tuple(tensors)
     if not tensors or any(t.shape != tensors[0].shape for t in tensors):
         raise DimensionError(f"stack: need one or more equal shapes, got "
@@ -617,7 +619,8 @@ def stack(tensors) -> Tensor:
 
     def backward(g):
         for t, part in zip(tensors, g):
-            _accumulate(t, part, owned=True)    # disjoint views of a spent buffer
+            if part.any():      # a layer the loss leaves out gets all zeros
+                _accumulate(t, part, owned=True)    # disjoint views of a spent buffer
 
     return _result(np.stack([t.data for t in tensors]), tensors, backward)
 

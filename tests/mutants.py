@@ -101,8 +101,8 @@ MUTANTS = (
      "                pass",
      ["tests/test_tape.py::TestInPlaceWrites::test_adamw_step_before_backward"]),
     ("objects are drawn under earlier ones", "data.py",
-     "        labels[mask] = len(palette)\n",
-     "        labels[mask & (labels < num_bands)] = len(palette)\n",
+     "        labels[rows, cols][mask] = len(palette)\n",
+     "        labels[rows, cols][mask & (labels[rows, cols] < num_bands)] = len(palette)\n",
      ["tests/test_data.py::TestDenseReference::test_generate_scene"]),
     ("a stuff box's mask label is off by one", "data.py",
      "mask_labels.append(band)",
@@ -163,6 +163,24 @@ MUTANTS = (
      "acc = np.zeros(a.shape)",
      "acc = np.zeros_like(a.data)",
      ["tests/test_tape.py::TestStackedLayers::test_default_step_gradients_equal_per_layer_loop"]),
+    ("a window one pixel short on the high side", "data.py",
+     "math.floor(centre + half) + 2, side)",
+     "math.floor(centre + half) + 1, side)",
+     ["tests/test_data.py::TestWindowedRaster::test_window_keeps_a_pixel_of_margin"]),
+    ("the overlap counted on the previous object's window", "data.py",
+     "        y0, y1 = max(rows.start, prev_rows.start), min(rows.stop, prev_rows.stop)\n"
+     "        x0, x1 = max(cols.start, prev_cols.start), min(cols.stop, prev_cols.stop)\n",
+     "        y0, y1 = prev_rows.start, prev_rows.stop\n"
+     "        x0, x1 = prev_cols.start, prev_cols.stop\n",
+     ["tests/test_data.py::TestWindowedRaster::test_visibility_equals_the_full_frame_count",
+      "tests/test_data.py::TestDenseReference::test_generate_scene"]),
+    ("the window offset dropped from _extent_box", "data.py",
+     "    y0, y1 = rows[0] + top, rows[-1] + top\n"
+     "    x0, x1 = cols[0] + left, cols[-1] + left\n",
+     "    y0, y1 = rows[0], rows[-1]\n"
+     "    x0, x1 = cols[0], cols[-1]\n",
+     ["tests/test_data.py::TestWindowedRaster::test_equals_the_full_frame_raster",
+      "tests/test_data.py::TestDenseReference::test_generate_scene"]),
 )
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from setdet.data import (
     _extent_box,
     _pack_seed,
     _raster,
-    _visibility_ok,
     _unpack_seed,
+    _visibility_ok,
     build_dataset,
     generate_scene,
     grid_instances_scene,
@@ -108,6 +110,46 @@ class TestGenerateScene:
 
 # -- the dense renderer that the label-map renderer replaced, kept as its reference
 
+def dense_raster(shape, side, cx, cy, size_x, size_y):
+    """The shape tested on every pixel of the frame, as before windows."""
+    ys, xs = np.mgrid[0:side, 0:side].astype(np.float64)
+    kind = shape % 3
+    if kind == 0:
+        return (np.abs(xs - cx) <= size_x / 2) & (np.abs(ys - cy) <= size_y / 2)
+    if kind == 1:
+        r = min(size_x, size_y) / 2
+        return (xs - cx) ** 2 + (ys - cy) ** 2 <= r * r
+    half_w = size_x / 2
+    h = size_y
+    top = cy - h / 2
+    bottom = cy + h / 2
+    inside_y = (ys >= top) & (ys <= bottom)
+    frac = np.clip((ys - top) / max(h, 1e-9), 0.0, 1.0)
+    return inside_y & (np.abs(xs - cx) <= frac * half_w)
+
+
+def dense_extent_box(mask):
+    side_y, side_x = mask.shape
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    y0, y1 = rows[0], rows[-1]
+    x0, x1 = cols[0], cols[-1]
+    return np.array([
+        (x0 + x1 + 1) / 2.0 / side_x,
+        (y0 + y1 + 1) / 2.0 / side_y,
+        (x1 - x0 + 1) / side_x,
+        (y1 - y0 + 1) / side_y,
+    ])
+
+
+def dense_visibility_ok(own_masks, new_mask, min_visible):
+    for prev in own_masks:
+        remaining = prev & ~new_mask
+        if remaining.sum() < min_visible * prev.sum():
+            return False
+    return True
+
+
 def dense_background(cfg, rng):
     side = cfg.image_side
     image = np.zeros((3, side, side))
@@ -153,14 +195,14 @@ def dense_generate_scene(cfg, rng):
                 sy = sx
             cx = rng.uniform(sx / 2 + 1.0, side - 1.0 - sx / 2)
             cy = rng.uniform(sy / 2 + 1.0, side - 1.0 - sy / 2)
-            mask = _raster(cls, side, cx, cy, sx, sy)
-            if mask.any() and _visibility_ok(own_masks, mask, cfg.min_visible):
+            mask = dense_raster(cls, side, cx, cy, sx, sy)
+            if mask.any() and dense_visibility_ok(own_masks, mask, cfg.min_visible):
                 break
         else:
             raise AssertionError("the reference scene could not be placed")
         own_masks.append(mask)
         classes.append(cls)
-        boxes.append(_extent_box(mask))
+        boxes.append(dense_extent_box(mask))
         jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, 3)
         color = np.clip(_THING_COLORS[cls] + jitter, 0.0, 1.0)
         image[:, mask] = color[:, None]
@@ -172,7 +214,7 @@ def dense_generate_scene(cfg, rng):
         for stuff_cls in sorted(set(stuff_map.reshape(-1).tolist())):
             region = stuff_map == stuff_cls
             classes.append(int(stuff_cls))
-            boxes.append(_extent_box(region))
+            boxes.append(dense_extent_box(region))
             visible.append(region & ~thing_cover)
     targets = (TargetSet.create(classes, np.stack(boxes)) if classes
                else TargetSet.empty())
@@ -191,10 +233,10 @@ def dense_grid_scene(class_id, count, rng, side=120):
     own_masks, boxes = [], []
     for cell_idx in sorted(visible_cells.tolist()):
         gy, gx = divmod(cell_idx, 10)
-        mask = _raster(class_id, side, gx * cell + cell // 2, gy * cell + cell // 2,
-                       object_size, object_size)
+        mask = dense_raster(class_id, side, gx * cell + cell // 2, gy * cell + cell // 2,
+                            object_size, object_size)
         own_masks.append(mask)
-        boxes.append(_extent_box(mask))
+        boxes.append(dense_extent_box(mask))
         image[:, mask] = color[:, None]
     targets = (TargetSet.create([class_id] * count, np.stack(boxes)) if count
                else TargetSet.empty())
@@ -226,12 +268,89 @@ class TestDenseReference:
                 cfg, scene_rng(9, TRAIN_NAMESPACE, i)))
             assert sample.seed == _pack_seed(9, TRAIN_NAMESPACE, i)
 
-    @pytest.mark.parametrize("count", [0, 5, 100])
+    @pytest.mark.parametrize("count", range(101))
     def test_grid_scene(self, count):
         for seed in range(3):
             sample = grid_instances_scene(seed % 3, count, np.random.default_rng(seed))
             assert_equals_dense(sample, dense_grid_scene(seed % 3, count,
                                                          np.random.default_rng(seed)))
+
+
+def placements(count, sides=(64, 120, 97)):
+    """(shape, side, cx, cy, sx, sy) of seeded random shapes: sizes from 3
+    to half the side with both ends of the default range drawn often,
+    centres from half a size off the frame to half a size past it, a
+    quarter of them snapped to a .5 boundary and some with an edge exactly
+    on the frame's edge."""
+    rng = np.random.default_rng(22)
+    for i in range(count):
+        side = sides[i % len(sides)]
+        shape = int(rng.integers(0, 3))
+        ends = [3.0, 10.0, 26.0, side / 2]
+        sx, sy = (float(rng.choice(ends)) if rng.random() < 0.3
+                  else rng.uniform(3.0, side / 2) for _ in range(2))
+        cx, cy = (rng.uniform(-size / 2, side + size / 2) for size in (sx, sy))
+        if rng.random() < 0.25:
+            cx, cy = round(2 * cx) / 2, round(2 * cy) / 2
+        if rng.random() < 0.1:
+            cx = sx / 2 if rng.random() < 0.5 else side - 1 - sx / 2
+        yield shape, side, cx, cy, sx, sy
+
+
+def windowed_frame(side, rows, cols, mask):
+    frame = np.zeros((side, side), dtype=bool)
+    frame[rows, cols] = mask
+    return frame
+
+
+class TestWindowedRaster:
+    """A shape is tested only inside its window; the full-frame test is the
+    reference, and it must be false everywhere else."""
+
+    def test_equals_the_full_frame_raster(self):
+        shapes = set()
+        for shape, side, cx, cy, sx, sy in placements(6000):
+            rows, cols, mask = _raster(shape, side, cx, cy, sx, sy)
+            dense = dense_raster(shape, side, cx, cy, sx, sy)
+            assert mask.shape == (rows.stop - rows.start, cols.stop - cols.start)
+            assert windowed_frame(side, rows, cols, mask).tobytes() == dense.tobytes()
+            if dense.any():
+                shapes.add((shape, side))
+                assert (_extent_box(mask, side, rows.start, cols.start).tobytes()
+                        == dense_extent_box(dense).tobytes())
+        assert len(shapes) == 9            # every shape on every side
+
+    def test_window_keeps_a_pixel_of_margin(self):
+        # the window holds every pixel within one pixel of the shape's reach,
+        # in exact arithmetic, so rounding cannot push a true pixel outside
+        for shape, side, cx, cy, sx, sy in placements(3000):
+            rows, cols, _ = _raster(shape, side, cx, cy, sx, sy)
+            if shape % 3 == 1:
+                sx = sy = min(sx, sy)
+            for span, centre, size in ((rows, cy, sy), (cols, cx, sx)):
+                reach = Fraction(size) / 2 + 1
+                lo = min(max(math.ceil(Fraction(centre) - reach), 0), side)
+                hi = max(min(math.floor(Fraction(centre) + reach) + 1, side), 0)
+                assert 0 <= span.start <= span.stop <= side
+                assert lo >= hi or span.start <= lo and span.stop >= hi
+
+    @pytest.mark.parametrize("min_visible", [0.0, 0.3, 0.5, 0.99, 1.0])
+    def test_visibility_equals_the_full_frame_count(self, min_visible):
+        shapes = list(placements(2000, sides=(64,)))
+        decisions = set()
+        for i in range(0, len(shapes), 4):
+            windowed, dense = [], []
+            for shape, side, cx, cy, sx, sy in shapes[i:i + 3]:
+                rows, cols, mask = _raster(shape, side, cx, cy, sx, sy)
+                windowed.append((rows, cols, mask, np.count_nonzero(mask)))
+                dense.append(dense_raster(shape, side, cx, cy, sx, sy))
+            shape, side, cx, cy, sx, sy = shapes[i + 3]
+            rows, cols, mask = _raster(shape, side, cx, cy, sx, sy)
+            want = dense_visibility_ok(dense, dense_raster(shape, side, cx, cy, sx, sy),
+                                       min_visible)
+            assert _visibility_ok(windowed, rows, cols, mask, min_visible) == want
+            decisions.add(want)
+        assert decisions == ({True} if min_visible == 0.0 else {True, False})
 
 
 class TestLabelStorage:

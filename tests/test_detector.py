@@ -308,6 +308,50 @@ class TestPostprocess:
                                                  f"for 2 decoder layers"):
                 postprocess(out, use_layer=index)
 
+    @staticmethod
+    def per_slot(output, use_layer, override_empty):
+        """``postprocess`` as a loop over images and slots, the reference
+        the batched version must equal."""
+        probs = T.softmax(output.class_logits.data[use_layer])
+        no_object = probs.shape[-1] - 1
+        batch = []
+        for image_probs, image_boxes in zip(probs, output.boxes.data[use_layer]):
+            detections = []
+            for p, box in zip(image_probs, image_boxes):
+                best = int(np.argmax(p))
+                if best == no_object:
+                    if not override_empty:
+                        continue
+                    best = int(np.argmax(p[:no_object]))
+                detections.append(Detection(best, float(p[best]), box.copy()))
+            batch.append(detections)
+        return batch
+
+    @pytest.mark.parametrize("override_empty", [True, False], ids=["override", "drop"])
+    @pytest.mark.parametrize("use_layer", [0, -1])
+    def test_equals_per_slot_loop(self, use_layer, override_empty):
+        rng = np.random.default_rng(4)
+        # small integer logits tie often; the last image's slots are all no-object
+        logits = rng.integers(-2, 3, size=(2, 5, 7, 4)).astype(np.float64)
+        logits[:, -1, :, -1] = 9.0
+        boxes = rng.random((2, 5, 7, 4))
+        out = DetectionOutput(Tensor(logits), Tensor(boxes))
+        got = postprocess(out, use_layer=use_layer, override_empty=override_empty)
+        want = self.per_slot(out, use_layer, override_empty)
+
+        def fields(batch):
+            return [[(type(d.class_id), d.class_id, type(d.confidence), d.confidence,
+                      d.box.tobytes()) for d in dets] for dets in batch]
+
+        assert fields(got) == fields(want)
+        assert [len(dets) for dets in got[:-1]] == [len(dets) for dets in want[:-1]]
+        assert len(got[-1]) == (7 if override_empty else 0)
+        # each detection owns its box
+        flat = [det.box for dets in got for det in dets]
+        assert all(b.base is None for b in flat)
+        flat[0][:] = -1.0
+        assert (out.boxes.data >= 0).all()
+
     @pytest.mark.parametrize("index", [True, 1.0, np.int64(1), "1"],
                              ids=["bool", "float", "numpy-int", "str"])
     def test_use_layer_must_be_an_int(self, index):

@@ -14,7 +14,7 @@ from setdet.matching import total_loss
 from setdet.tensor import TapeError, Tensor
 from setdet.training import AdamW, TrainConfig
 
-from test_detector import tape_bytes, tape_nodes, tiny_model
+from test_detector import op_name, tape_bytes, tape_nodes, tiny_model
 from test_matching import per_layer_total_loss
 
 
@@ -146,6 +146,63 @@ class TestStackedLayers:
         assert loss.data.tobytes() == want_loss.data.tobytes()
         assert len(want) == 103 and all(w is not None for w in want)
         assert_grads_equal(got, want)
+
+    @pytest.mark.parametrize("aux", [True, False], ids=["aux", "final-only"])
+    def test_layers_the_loss_leaves_out_run_no_backward(self, monkeypatch, aux):
+        def step():
+            cfg = TrainConfig(seed=5, aux_loss=aux)
+            samples = build_dataset(cfg.data, cfg.batch_size, TRAIN_NAMESPACE, cfg.seed)
+            model = Detector(cfg.model, np.random.default_rng(cfg.seed))
+            out = model.forward(np.stack([s.image for s in samples]), train=True,
+                                rng=np.random.default_rng([5, 4]))
+            loss, _ = total_loss(out, [s.targets for s in samples], cfg.loss, aux=aux)
+            return out, loss, model
+
+        out, loss, model = step()
+        stacks = (out.class_logits, out.boxes)
+        final = {id(n) for n in tape_nodes([s._parents[-1] for s in stacks])}
+        earlier = [n for n in tape_nodes([p for s in stacks for p in s._parents[:-1]])
+                   if id(n) not in final]
+        # the first layer's class head, three box layers and shared_norm
+        names = sorted(op_name(n) for n in earlier)
+        assert names.count("linear") == 4 and names.count("layer_norm") == 1
+        ran = []
+
+        def recorded(node):
+            closure = node._backward
+
+            def backward(g):
+                ran.append(node)
+                closure(g)
+            return backward
+
+        for node in earlier:
+            node._backward = recorded(node)
+        loss.backward()
+        assert len(ran) == (len(earlier) if aux else 0)
+        assert all(n._backward is T._spent and n.grad is None for n in earlier)
+        got = grads(model)
+
+        # the reference stack hands every parent its slice, zero or not
+        def handing_stack(tensors):
+            tensors = tuple(tensors)
+
+            def backward(g):
+                for t, part in zip(tensors, g):
+                    T._accumulate(t, part, owned=True)
+
+            return T._result(np.stack([t.data for t in tensors]), tensors, backward)
+
+        monkeypatch.setattr(T, "stack", handing_stack)
+        _, want_loss, ref_model = step()
+        want_loss.backward()
+        want = grads(ref_model)
+        assert loss.data.tobytes() == want_loss.data.tobytes()
+        assert len(want) == 103 and all(w is not None for w in want)
+        if aux:
+            assert_grads_equal(got, want)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestRefusedWalks:
