@@ -192,11 +192,20 @@ class Detector:
     # -- forward ---------------------------------------------------------
 
     def backbone_forward(self, image) -> Tensor:
-        """Feature maps [B, C, H/s, W/s] from a [B,3,H,W] batch in [0,1]."""
+        """Feature maps [B, C, H/s, W/s] from a [B,3,H,W] batch in [0,1].
+
+        A NaN or infinite pixel raises ``ValueError`` naming the first such
+        image: it would otherwise come out as NaN detections."""
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.ndim != 4:
             raise DimensionError(f"model input must be a [B,3,H,W] batch, got shape "
                                  f"{x.shape}; Detector.predict takes one [3,H,W] image")
+        finite = np.isfinite(x.data)
+        if not finite.all():
+            bad = np.count_nonzero(~finite.reshape(len(finite), -1), axis=1)
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"model input image {i} of {len(bad)} has {bad[i]} non-finite "
+                             f"values (NaN or inf)")
         stride = self.config.stride
         for name, side in (("height", x.shape[-2]), ("width", x.shape[-1])):
             if side % stride != 0:

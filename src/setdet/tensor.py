@@ -30,6 +30,7 @@ expressions as references.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -742,8 +743,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution: x [B,C,H,W], w [O,C,kh,kw], b [O].
 
-    The x-gradient (col2im) adds each kernel tap's column gradient into the
-    padded input with one strided slice, kh*kw adds in all, with no scatter.
+    One ``np.take`` through the geometry's cached index map
+    (``_im2col_index``) gathers every image's im2col columns straight from
+    the input's memory, and the taps that fall in the zero padding are
+    zeroed.  The x-gradient (col2im) is one ``np.bincount`` per image
+    through the same map: it adds in index order, so each input pixel gets
+    its terms in ascending (oy, ox), the order of a scatter over the
+    columns in row order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input/weight, got {x.shape}, {w.shape}")
@@ -760,17 +766,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Wo = (W + 2 * padding - kw) // stride + 1
     if Ho <= 0 or Wo <= 0:
         raise DimensionError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = x.data
+    # gather straight from the input's memory: a ReLU output lies
+    # channels-last and an image batch NCHW; another layout is copied
+    nhwc = x.data.transpose(0, 2, 3, 1)
+    channels_last = nhwc.flags.c_contiguous
+    flat = nhwc.reshape(B, H * W * C) if channels_last \
+        else np.ascontiguousarray(x.data).reshape(B, C * H * W)
+    index, pads = _im2col_index(H, W, C, kh, kw, stride, padding, channels_last)
+    if kh == kw == stride == 1 and not padding and channels_last:
+        # the map is the identity; a gathered copy would cost a fresh buffer
+        cols = flat.reshape(B, H * W, C)
     else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                      # [B,C,Ho,Wo,kh,kw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
+        # padding taps point one past the image: clipped to its last
+        # pixel, then zeroed
+        cols = np.take(flat, index, axis=1, mode="clip")
+        cols.reshape(B, -1)[:, pads] = 0.0
     wmat = w.data.reshape(O, C * kh * kw)
     # one product per image, so an image's output does not depend on the batch
-    out = cols.reshape(B, Ho * Wo, C * kh * kw) @ wmat.T
+    out = cols @ wmat.T
     if b is not None:
         out += b.data
     out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
@@ -778,23 +791,54 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def backward(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, O)
         if w.requires_grad:
-            _accumulate(w, (gmat.T @ cols).reshape(w.shape), owned=True)
+            _accumulate(w, (gmat.T @ cols.reshape(B * Ho * Wo, -1)).reshape(w.shape),
+                        owned=True)
         if b is not None and b.requires_grad:
             _accumulate(b, gmat.sum(axis=0), owned=True)
         if x.requires_grad:
-            gcols = (gmat @ wmat).reshape(B, Ho, Wo, C, kh, kw)
-            gp = np.zeros((B, H + 2 * padding, W + 2 * padding, C))
-            # Descending (uy, ux) adds each input pixel's terms in ascending
-            # (oy, ox), the order of the np.add.at reference in the tests,
-            # so the two agree bitwise.
-            for uy in range(kh - 1, -1, -1):
-                for ux in range(kw - 1, -1, -1):
-                    gp[:, uy:uy + stride * Ho:stride,
-                       ux:ux + stride * Wo:stride] += gcols[..., uy, ux]
-            gx = gp.transpose(0, 3, 1, 2)[:, :, padding:padding + H, padding:padding + W]
+            gcols = (gmat @ wmat).reshape(B, -1)
+            taps = index.reshape(-1)
+            size = C * H * W
+            gx = np.empty((B, size))
+            for i in range(B):
+                # the bin one past the image collects the padding taps' terms
+                gx[i] = np.bincount(taps, weights=gcols[i], minlength=size + 1)[:size]
+            gx = gx.reshape(B, H, W, C).transpose(0, 3, 1, 2) if channels_last \
+                else gx.reshape(B, C, H, W)
             _accumulate(x, gx, owned=True)
 
     return _result(out, (x, w) if b is None else (x, w, b), backward)
+
+
+@functools.lru_cache(maxsize=16)
+def _im2col_index(H: int, W: int, C: int, kh: int, kw: int, stride: int, padding: int,
+                  channels_last: bool):
+    """Read-only flat positions of the im2col entries of one [C,H,W] image
+    stored channels-last or NCHW, and the entries that fall in the padding.
+
+    Row (oy, ox) of the map holds, at column (c, uy, ux), the position of
+    pixel (oy*stride + uy - padding, ox*stride + ux - padding, c), or
+    C*H*W, one past the image, where that pixel lies in the padding.
+
+    The maps are cached because building them costs more than the
+    gathers they serve: at B=1 and 120 px, ≈2.1 ms for the default
+    model's four maps against ≈1.0 ms for its three gathers.  The default
+    model uses four geometries per image side, ≈0.7 MB of maps at 64 px
+    and ≈2.5 MB at 120 px; 16 entries bound the cache.
+    """
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    y = (np.arange(Ho)[:, None, None, None, None] * stride
+         + np.arange(kh)[None, None, None, :, None] - padding)
+    x = (np.arange(Wo)[None, :, None, None, None] * stride
+         + np.arange(kw)[None, None, None, None, :] - padding)
+    c = np.arange(C)[None, None, :, None, None]
+    index = (y * W + x) * C + c if channels_last else (c * H + y) * W + x
+    inside = (0 <= y) & (y < H) & (0 <= x) & (x < W)
+    index = np.where(inside, index, C * H * W).reshape(Ho * Wo, C * kh * kw)
+    pads = np.flatnonzero(index == C * H * W)
+    index.flags.writeable = pads.flags.writeable = False
+    return index, pads
 
 
 def upsample2x_bilinear(x: Tensor) -> Tensor:

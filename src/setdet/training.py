@@ -337,15 +337,17 @@ def _map_chunks(fn, samples) -> list:
     images; the results come back in sample order.
 
     The chunks run on one thread per usable CPU (a single chunk runs in the
-    calling thread).  Images share no state in a forward, and every op
-    computes each image with the same products whatever the batch (conv2d
-    runs one product per image), so the results do not depend on the
-    threads or the chunking: they equal one forward over all the images,
-    or over each image alone, bit for bit.  The threads pay
-    off with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), the setting
-    every measurement of setdet uses: a multi-threaded BLAS already spreads
-    each large product over the cores and spin-waits, and the two kinds of
-    threads then compete.  All images must share one shape.
+    calling thread).  Images share no state in a forward but conv2d's
+    read-only index maps, and every op computes each image with the same
+    products whatever the batch (conv2d gathers each image's columns
+    through the map and runs one product per image).  So the results do
+    not depend on the threads, the chunking or the image sizes seen
+    before: they equal one forward over all the images, or over each image
+    alone, bit for bit.  The threads pay off with one BLAS thread
+    (``OPENBLAS_NUM_THREADS=1``), the setting every measurement of setdet
+    uses: a multi-threaded BLAS already spreads each large product over
+    the cores and spin-waits, and the two kinds of threads then compete.
+    All images must share one shape.
     """
     shapes = [(3, *s.labels.shape) for s in samples]    # images are built per chunk
     for i, shape in enumerate(shapes):

@@ -39,12 +39,27 @@ MUTANTS = (
      "outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]",
      "outcomes = outcomes.transpose(1, 0, 2)[:, det_real]",
      ["tests/test_evaluation.py::TestFrozenReports"]),
-    ("conv2d x-gradient adds its taps in ascending order", "tensor.py",
-     "            for uy in range(kh - 1, -1, -1):\n"
-     "                for ux in range(kw - 1, -1, -1):\n",
-     "            for uy in range(kh):\n"
-     "                for ux in range(kw):\n",
+    ("the im2col index map swaps uy and ux", "tensor.py",
+     "         + np.arange(kh)[None, None, None, :, None] - padding)\n"
+     "    x = (np.arange(Wo)[None, :, None, None, None] * stride\n"
+     "         + np.arange(kw)[None, None, None, None, :] - padding)\n",
+     "         + np.arange(kw)[None, None, None, None, :] - padding)\n"
+     "    x = (np.arange(Wo)[None, :, None, None, None] * stride\n"
+     "         + np.arange(kh)[None, None, None, :, None] - padding)\n",
+     ["tests/test_tensor.py::TestConv2d::test_forward_bitwise_matches_window"]),
+    ("conv2d's padding taps are not zeroed", "tensor.py",
+     "        cols.reshape(B, -1)[:, pads] = 0.0\n",
+     "",
+     ["tests/test_tensor.py::TestConv2d::test_forward_bitwise_matches_window"]),
+    ("one image's conv2d x-gradient adds out of index order", "tensor.py",
+     "gx[i] = np.bincount(taps, weights=gcols[i], minlength=size + 1)[:size]",
+     "gx[i] = np.bincount(taps[::-1] if i == B - 1 else taps, minlength=size + 1, "
+     "weights=gcols[i][::-1] if i == B - 1 else gcols[i])[:size]",
      ["tests/test_tensor.py::TestConv2d::test_x_gradient_bitwise_matches_scatter"]),
+    ("the cached im2col index map is left writable", "tensor.py",
+     "    index.flags.writeable = pads.flags.writeable = False\n",
+     "    pads.flags.writeable = False\n",
+     ["tests/test_tensor.py::TestConv2d::test_index_map_is_read_only_and_shared"]),
     ("chunked forward returns chunks as they complete", "training.py",
      "return list(pool.map(run, chunks))",
      "return [f.result() for f in __import__('concurrent.futures').futures"

@@ -435,3 +435,19 @@ def test_predict_returns_detections():
         assert isinstance(det, Detection)
         assert 0 <= det.class_id < 2
         assert 0.0 <= det.confidence <= 1.0
+
+
+class TestNonFiniteInput:
+    # a NaN pixel would otherwise come out as NaN confidences and boxes
+    def test_predict(self):
+        image = np.random.default_rng(9).random((3, 16, 16))
+        image[1, 4, 5] = np.nan
+        with pytest.raises(ValueError, match=r"input image 0 of 1 has 1 non-finite"):
+            tiny_model().predict(image)
+
+    def test_forward_names_the_first_image(self):
+        images = np.random.default_rng(9).random((3, 3, 16, 16))
+        images[1, 0, 2, 3:5] = [np.inf, -np.inf]
+        images[2, 2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"input image 1 of 3 has 2 non-finite"):
+            tiny_model().forward(images)

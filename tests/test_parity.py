@@ -13,6 +13,8 @@ recorded with (on an x86-64 host; a CPU that selects other BLAS kernels
 may round differently).  ``OPENBLAS_NUM_THREADS=1 python
 tests/test_parity.py --record`` rewrites the fixture from the current
 code; do that only when the model's arithmetic changes on purpose.
+``python tests/test_parity.py --predict i j ...`` prints the detections of
+pool images i, j, ... predicted in that order in one process.
 """
 
 import hashlib
@@ -73,15 +75,20 @@ def observe():
     }
 
 
-@pytest.fixture(scope="module")
-def observed():
+def child(*args):
+    """What this file prints, run as a fresh process with ``args``."""
     src = os.path.join(os.path.dirname(HERE), "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+    run = subprocess.run([sys.executable, os.path.abspath(__file__), *args], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout)
+
+
+@pytest.fixture(scope="module")
+def observed():
+    return child()
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +108,22 @@ def test_memory_and_embeddings_bitwise(observed, recorded, mode):
     assert observed["internals"][mode] == recorded["internals"][mode]
 
 
+def test_sizes_in_turn_equal_fresh_processes():
+    # conv2d caches an index map per geometry: a 64 px image after a 120 px
+    # one, and a 120 px image after a 64 px one, must come out as in a
+    # process that has seen no other size
+    small, large = "0", str(POOL)
+    alone = child("--predict", small) + child("--predict", large)
+    assert child("--predict", small, large, small) == alone + alone[:1]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
         with open(FIXTURE, "w") as fh:
             json.dump(observe(), fh, indent=1)
             fh.write("\n")
+    elif sys.argv[1:2] == ["--predict"]:
+        pool, net = images(), model()
+        json.dump([detections(pool[int(i)], net) for i in sys.argv[2:]], sys.stdout)
     else:
         json.dump(observe(), sys.stdout)

@@ -352,20 +352,41 @@ class TestLayerNorm:
         assert grad_check(lambda t: scalarize(T.layer_norm(x, g, t)), b, eps=1e-5) <= 1e-5
 
 
+def window_cols(x, kh, kw, stride, padding):
+    """The earlier im2col: a strided sliding-window view of the zero-padded
+    input, transposed and copied into [B, Ho*Wo, C*kh*kw] columns.  The
+    gather through the cached index map must equal it bitwise."""
+    B, C, H, W = x.shape
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = x
+    else:
+        xp = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]                      # [B,C,Ho,Wo,kh,kw]
+    Ho, Wo = win.shape[2:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho * Wo, C * kh * kw), Ho, Wo
+
+
+def window_conv2d_forward(x, w, b, stride, padding):
+    """The earlier conv2d forward on arrays: window columns, one product per
+    image, bias, and the [B,O,Ho,Wo] view of channels-last output."""
+    O, C, kh, kw = w.shape
+    cols, Ho, Wo = window_cols(x, kh, kw, stride, padding)
+    out = cols @ w.reshape(O, C * kh * kw).T
+    if b is not None:
+        out += b
+    return out.reshape(len(x), Ho, Wo, O).transpose(0, 3, 1, 2)
+
+
 def scatter_conv2d(x, w, b=None, stride=1, padding=0):
-    """The earlier conv2d, whose col2im scatters through np.add.at: the
-    reference the strided-add x-gradient must equal bitwise."""
+    """The earlier conv2d, with window columns and a col2im that scatters
+    through np.add.at: the reference the bincount x-gradient must equal
+    bitwise."""
     B, C, H, W = x.shape
     O, Cw, kh, kw = w.shape
-    Ho = (H + 2 * padding - kh) // stride + 1
-    Wo = (W + 2 * padding - kw) // stride + 1
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * kh * kw)
+    cols, Ho, Wo = window_cols(x.data, kh, kw, stride, padding)
+    cols = cols.reshape(B * Ho * Wo, C * kh * kw)
     wmat = w.data.reshape(O, C * kh * kw)
     out = cols @ wmat.T
     if b is not None:
@@ -398,6 +419,17 @@ def scatter_conv2d(x, w, b=None, stride=1, padding=0):
     return T._result(out, (x, w) if b is None else (x, w, b), backward)
 
 
+def layouts(x):
+    """``x`` [B,C,H,W] as an NCHW-contiguous array, as an NCHW view of
+    channels-last memory (the layout a ReLU hands the next conv2d), and as
+    a strided view that is neither."""
+    strided = np.zeros(x.shape[:3] + (2 * x.shape[3],))[..., ::2]
+    strided[...] = x
+    return {"nchw": np.ascontiguousarray(x),
+            "channels-last": np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+            "strided": strided}
+
+
 def conv_x_grad(conv, x, w, stride, padding, upstream_seed):
     """x-gradient of <conv(x, w), g> for a fixed seeded upstream g with zeros."""
     xt = Tensor(x, requires_grad=True)
@@ -406,6 +438,15 @@ def conv_x_grad(conv, x, w, stride, padding, upstream_seed):
     g[g < -0.6] = 0.0
     T.tsum(T.mul(out, Tensor(g))).backward()
     return np.ascontiguousarray(xt.grad)
+
+
+# square kernels by their side; non-square ones by "khxkw"
+KERNELS = [1, 2, 3, 5, pytest.param((2, 3), id="2x3"), pytest.param((3, 1), id="3x1"),
+           pytest.param((1, 5), id="1x5")]
+
+
+def kernel_shape(k):
+    return (k, k) if isinstance(k, int) else k
 
 
 class TestConv2d:
@@ -463,17 +504,48 @@ class TestConv2d:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", KERNELS)
     def test_x_gradient_bitwise_matches_scatter(self, k, stride, padding, batch):
-        rng = np.random.default_rng([k, stride, padding, batch])
+        kh, kw = kernel_shape(k)
+        rng = np.random.default_rng([*np.atleast_1d(k), stride, padding, batch])
         x = rng.uniform(-1, 1, (batch, 2, 7, 9))
-        w = rng.uniform(-1, 1, (4, 2, k, k))
-        got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=1)
-        want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=1)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        if stride > k:     # some input pixels lie under no kernel tap
-            assert (got == 0).any()
+        w = rng.uniform(-1, 1, (4, 2, kh, kw))
+        for layout, x in layouts(x).items():
+            got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=1)
+            want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=1)
+            np.testing.assert_array_equal(got, want, err_msg=layout)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=layout)
+            if stride > min(kh, kw):     # some input pixels lie under no kernel tap
+                assert (got == 0).any()
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("channels", [1, 3, 16])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", KERNELS)
+    def test_forward_bitwise_matches_window(self, k, stride, padding, channels, batch):
+        kh, kw = kernel_shape(k)
+        rng = np.random.default_rng([*np.atleast_1d(k), stride, padding, channels, batch])
+        w, b = rng.uniform(-1, 1, (4, channels, kh, kw)), rng.uniform(-1, 1, 4)
+        x = rng.uniform(-1, 1, (batch, channels, 7, 9))
+        x[x < -0.8] = -0.0
+        want = window_conv2d_forward(x, w, b, stride, padding)
+        for layout, xl in layouts(x).items():
+            with T.no_grad():
+                got = T.conv2d(Tensor(xl), Tensor(w), Tensor(b), stride=stride,
+                               padding=padding).data
+            assert got.shape == want.shape and got.strides == want.strides, layout
+            assert got.tobytes() == want.tobytes(), layout
+
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_index_map_is_read_only_and_shared(self, channels_last):
+        index, pads = T._im2col_index(7, 9, 3, 3, 3, 2, 1, channels_last)
+        assert T._im2col_index(7, 9, 3, 3, 3, 2, 1, channels_last)[0] is index
+        assert index.shape == (4 * 5, 3 * 3 * 3)
+        np.testing.assert_array_equal(pads, np.flatnonzero(index == 3 * 7 * 9))
+        for array in (index, pads):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_train_step_gradients_bitwise_match_scatter(self, monkeypatch):
         def step_grads():

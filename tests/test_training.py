@@ -1,4 +1,5 @@
 import builtins
+import copy
 import dataclasses
 import json
 import math
@@ -559,6 +560,12 @@ class TestPredictBatch:
     def test_reruns_bitwise_equal(self, model, samples, cpus):
         assert_same_detections(predict_batch(model, samples),
                                predict_batch(model, samples))
+
+    def test_non_finite_image_rejected(self, model, samples, cpus):
+        bad = copy.deepcopy(samples[23])
+        bad.palette[:, bad.labels[0, 0]] = np.nan       # written after validation
+        with pytest.raises(ValueError, match=r"input image 3 of 20 has \d+ non-finite"):
+            predict_batch(model, [*samples[:23], bad, *samples[24:]])
 
     def test_one_chunk_runs_inline(self, model, samples, monkeypatch):
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
