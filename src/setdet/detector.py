@@ -99,6 +99,16 @@ class DetectionOutput:
         return self     # for perfbench/workloads.py's total_loss(out.layers, ...)
 
 
+class NonFiniteInputError(ValueError):
+    """A model input image holds NaN or infinite pixels: ``image`` is its
+    index among ``batch`` images and ``count`` the count of such values."""
+
+    def __init__(self, image: int, batch: int, count: int):
+        super().__init__(f"model input image {image} of {batch} has {count} non-finite "
+                         f"values (NaN or inf)")
+        self.image, self.count = image, count
+
+
 @dataclass
 class Detection:
     """One emitted detection; no-object is never emitted."""
@@ -194,8 +204,9 @@ class Detector:
     def backbone_forward(self, image) -> Tensor:
         """Feature maps [B, C, H/s, W/s] from a [B,3,H,W] batch in [0,1].
 
-        A NaN or infinite pixel raises ``ValueError`` naming the first such
-        image: it would otherwise come out as NaN detections."""
+        A NaN or infinite pixel raises ``NonFiniteInputError`` (a
+        ``ValueError``) naming the first such image: it would otherwise come
+        out as NaN detections."""
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.ndim != 4:
             raise DimensionError(f"model input must be a [B,3,H,W] batch, got shape "
@@ -204,8 +215,7 @@ class Detector:
         if not finite.all():
             bad = np.count_nonzero(~finite.reshape(len(finite), -1), axis=1)
             i = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"model input image {i} of {len(bad)} has {bad[i]} non-finite "
-                             f"values (NaN or inf)")
+            raise NonFiniteInputError(i, len(bad), int(bad[i]))
         stride = self.config.stride
         for name, side in (("height", x.shape[-2]), ("width", x.shape[-1])):
             if side % stride != 0:

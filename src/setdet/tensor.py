@@ -26,13 +26,21 @@ bias and ReLU) and ``attention`` fuse a chain of ops into one node;
 normalized input and a bool draw.  Each gives the values and gradients of
 the plain composed expressions bit for bit, and the tests keep those
 expressions as references.
+
+``linear``, ``attention`` and ``conv2d`` may run the upper half of their
+slices (images, or blocks of attention heads) on one helper thread while
+the calling thread runs the lower half (``_halves``).  Each slice makes the
+same numpy calls either way, so results do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -77,6 +85,102 @@ def no_grad():
         yield
     finally:
         _GRAD.enabled = prev
+
+
+# -- the spare core ---------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# An op (`linear`, `attention`, `conv2d`) splits its slices over two threads
+# only when the products of one call (forward, or backward) make at least
+# this many multiplies.  Measured on a 2-core host with one OpenBLAS thread:
+# one process per op shape and mode, serial and split alternating, 3 pairs,
+# the median µs of 150 calls (forward under no_grad, backward the closure).
+# Every shape of 8.39M multiplies or more won in all 3 pairs: `linear`
+# forward and backward at [64,64] x [32,64,64] (8.39M, 16.8M) and backward
+# at [16,64,64] (8.39M) 825 -> 710, `linear` backward at [64,256] x
+# [32,256,10] (10.5M), `attention` at every shape from 2.1M up, the
+# 16-channel 3x3 stem `conv2d` at 16 images (7.08M) forward 1165 -> 722 and
+# backward 4933 -> 4469 (col2im 7.08M).  Below, `linear` lost: backward
+# at [64,256] x [24,256,10] (7.86M) 764 -> 778 and at [64,64] x [12,64,64]
+# (6.29M) 544 -> 627, forward at 3.15M and less.  The bound sits between
+# the two; the nearest calls of the benchmark's train step are the
+# attention forward and `linear` backward at 8.39M, 4.9% above it, which
+# split, and that stem conv at 7.08M, 11.5% below, which does not.  The
+# encoder attention of a 120 px predict (6.48M, 19% below) does not split.
+SPLIT_MIN_WORK = 8_000_000
+
+# The one spare-core token.  An op holds it while its upper half runs on the
+# helper thread, and ``training._map_chunks`` while its chunk workers run, so
+# no op splits while every core already runs a chunk, and no two ops share
+# the helper.
+_SPARE_CORE = threading.Lock()
+
+
+@functools.cache
+def _helper() -> ThreadPoolExecutor:
+    """The helper thread, started by the first split and reused by all."""
+    return ThreadPoolExecutor(1, thread_name_prefix="setdet-spare-core")
+
+
+def _splits(n: int, work: int) -> bool:
+    """Whether an op with ``n`` slices whose products make ``work``
+    multiplies may split them over two threads (the token aside)."""
+    return n >= 2 and work >= SPLIT_MIN_WORK and _usable_cpus() >= 2
+
+
+# How long the calling thread polls for the helper's half before it sleeps
+# on it: about twice the ≈40 µs a sleeping thread took to wake on the 2-core
+# host of the measurements above.
+JOIN_SPIN_S = 100e-6
+
+
+def _halves(fn, n: int, work: int):
+    """Run an op's per-slice work ``fn(lo, hi)`` over its slices [0, n).
+
+    The lower half, ``fn(0, n // 2)``, runs in the calling thread and the
+    upper half, ``fn(n // 2, n)``, on the helper thread when ``_splits(n,
+    work)`` holds and the spare-core token is free; it is taken without
+    waiting.  Otherwise ``fn(0, n)`` runs here.  When the helper has not
+    started the upper half by the time the lower one ends, the calling
+    thread runs it too.  When it has, the calling thread polls for its end
+    for up to ``JOIN_SPIN_S``, releasing the GIL at each turn, then sleeps
+    on it: the halves take alike, so most joins end within the poll, and a
+    helper held up (its core taken by another process) costs one wake-up,
+    not a core kept busy.  A half makes the numpy calls ``fn(0, n)`` makes
+    for its slices, into its own slices of the op's buffers, so the results
+    are the serial ones bit for bit.  The call returns once both halves
+    have ended; an exception in either reaches the caller, and the token is
+    free again.
+    """
+    if not _splits(n, work) or not _SPARE_CORE.acquire(blocking=False):
+        fn(0, n)
+        return
+    try:
+        mid = n // 2
+        upper = _helper().submit(fn, mid, n)
+        try:
+            fn(0, mid)
+        finally:
+            # a helper that has not started by now (its core busy) is not
+            # waited for: its half runs here
+            stolen = upper.cancel()
+            if not stolen:
+                deadline = time.perf_counter() + JOIN_SPIN_S
+                while not upper.done() and time.perf_counter() < deadline:
+                    time.sleep(0)
+                wait((upper,))
+        if stolen:
+            fn(mid, n)
+        else:
+            upper.result()
+    finally:
+        _SPARE_CORE.release()
 
 
 class Tensor:
@@ -476,27 +580,71 @@ def linear(w: Tensor, x: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     place, so the tape keeps the output and, with ``relu``, a bool mask,
     not the product and the pre-activation.  Forward and backward make the
     numpy calls of matmul, add and relu in their order, so values and
-    gradients are bit for bit those of the composed chain.
+    gradients are bit for bit those of the composed chain.  A call that
+    may split (``_splits``) makes them for each range of slices of x's
+    leading axis (``_halves``) into preallocated buffers: numpy runs one
+    product per [d_in, N] slice whatever the stack, and the weight
+    gradient's per-slice products fill a [..., d_out, d_in] stack that
+    ``_unbroadcast`` reduces as before.  Any other call runs the composed
+    expressions on whole arrays: the sliced form costs 2-3 µs more per call
+    at B=1.
     """
     if w.ndim != 2 or x.ndim < 2 or x.shape[-2] != w.shape[1] \
             or b.shape != (w.shape[0], 1):
         raise DimensionError(f"linear: need w [d_out, d_in], x [..., d_in, N] and "
                              f"b [d_out, 1], got {w.shape}, {x.shape} and {b.shape}")
-    out = w.data @ x.data
-    out += b.data
-    mask = None
-    if relu:
-        mask = out > 0
-        out *= mask
+    slices, work = len(x.data) if x.ndim > 2 else 1, x.data.size * w.shape[0]
+    if _splits(slices, work):
+        out = np.empty(x.shape[:-2] + (w.shape[0], x.shape[-1]))
+        mask = np.empty(out.shape, dtype=bool) if relu else None
+
+        def forward(lo, hi):
+            o = out[lo:hi]
+            np.matmul(w.data, x.data[lo:hi], out=o)
+            o += b.data
+            if mask is not None:
+                np.greater(o, 0, out=mask[lo:hi])
+                o *= mask[lo:hi]
+
+        _halves(forward, slices, work)
+    else:
+        out = w.data @ x.data
+        out += b.data
+        mask = None
+        if relu:
+            mask = out > 0
+            out *= mask
 
     def backward(g):
-        if mask is not None:
-            g = g * mask
-        _accumulate_reduced(b, g, fresh=False)
-        if w.requires_grad:
-            _accumulate_reduced(w, g @ np.swapaxes(x.data, -1, -2), fresh=True)
-        if x.requires_grad:
-            _accumulate_reduced(x, np.swapaxes(w.data, -1, -2) @ g, fresh=True)
+        work = g.size * w.shape[1] * (w.requires_grad + x.requires_grad)
+        if not _splits(len(g) if g.ndim > 2 else 1, work):
+            if mask is not None:
+                g = g * mask
+            _accumulate_reduced(b, g, fresh=False)
+            if w.requires_grad:
+                _accumulate_reduced(w, g @ np.swapaxes(x.data, -1, -2), fresh=True)
+            if x.requires_grad:
+                _accumulate_reduced(x, np.swapaxes(w.data, -1, -2) @ g, fresh=True)
+            return
+        gm = g if mask is None else np.empty(g.shape)
+        dw = np.empty(g.shape[:-2] + w.shape) if w.requires_grad else None
+        dx = np.empty(x.shape) if x.requires_grad else None
+
+        def grads(lo, hi):
+            gb = g[lo:hi]
+            if mask is not None:
+                gb = np.multiply(gb, mask[lo:hi], out=gm[lo:hi])
+            if dw is not None:
+                np.matmul(gb, np.swapaxes(x.data[lo:hi], -1, -2), out=dw[lo:hi])
+            if dx is not None:
+                np.matmul(np.swapaxes(w.data, -1, -2), gb, out=dx[lo:hi])
+
+        _halves(grads, len(g), work)
+        _accumulate_reduced(b, gm, fresh=False)
+        if dw is not None:
+            _accumulate_reduced(w, dw, fresh=True)
+        if dx is not None:
+            _accumulate_reduced(x, dx, fresh=True)
 
     return _result(out, (w, x, b), backward)
 
@@ -516,9 +664,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     softmax_lastdim / transpose / matmul chain runs over the whole stack, on
     the same views and in the same order; numpy calls the same per-slice
     product for any stack length, so values and gradients are bit for bit
-    the composed chain's.  Without recording nothing larger than one block
-    of scores is allocated; with it, the probabilities are kept for backward
-    and the raw scores are not.
+    the composed chain's, also when ``_halves`` runs the upper half of the
+    blocks on the helper thread.  Without recording each thread allocates
+    one block of scores and nothing larger; with it, the probabilities are
+    kept for backward and the raw scores are not.
     """
     if q.ndim < 2 or k.shape != v.shape or q.shape[:-1] != k.shape[:-1]:
         raise DimensionError(f"attention: need q [..., d', Nq] and k, v [..., d', Nkv], "
@@ -530,34 +679,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     step = max(1, ATTENTION_BLOCK_BYTES // (8 * max(nq * nkv, 1)))
     blocks = [(lo, min(lo + step, slices)) for lo in range(0, slices, step)]
     record = _GRAD.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = np.empty((slices if record else min(step, slices), nq, nkv))
+    probs = np.empty((slices, nq, nkv)) if record else None
     out = np.empty((slices, dh, nq))
-    for lo, hi in blocks:
-        p = probs[lo:hi] if record else probs[:hi - lo]
-        np.matmul(qs[lo:hi].swapaxes(-1, -2), kd[lo:hi], out=p)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(vd[lo:hi], p.swapaxes(-1, -2), out=out[lo:hi])
+    work = slices * dh * nq * nkv          # multiplies of one product over all slices
+
+    def forward(first, last):
+        scratch = None if record else np.empty((min(step, slices), nq, nkv))
+        for lo, hi in blocks[first:last]:
+            p = probs[lo:hi] if record else scratch[:hi - lo]
+            np.matmul(qs[lo:hi].swapaxes(-1, -2), kd[lo:hi], out=p)
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            np.matmul(vd[lo:hi], p.swapaxes(-1, -2), out=out[lo:hi])
+
+    _halves(forward, len(blocks), 2 * work)                 # qᵀk and v·Pᵀ
 
     def backward(g):
         g = g.reshape(-1, dh, nq)
         dv = np.empty((slices, dh, nkv)) if v.requires_grad else None
         dk = np.empty((slices, dh, nkv)) if k.requires_grad else None
         dq_t = np.empty((slices, nq, dh)) if q.requires_grad else None
-        for lo, hi in blocks:
-            p, gb = probs[lo:hi], g[lo:hi]
-            if dv is not None:
-                np.matmul(gb, p, out=dv[lo:hi])
-            if dk is None and dq_t is None:
-                continue
-            dp = (vd[lo:hi].swapaxes(-1, -2) @ gb).swapaxes(-1, -2)
-            ds = dp - (dp * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            if dk is not None:
-                np.matmul(qs[lo:hi], ds, out=dk[lo:hi])
-            if dq_t is not None:
-                np.matmul(ds, kd[lo:hi].swapaxes(-1, -2), out=dq_t[lo:hi])
+
+        def grads(first, last):
+            for lo, hi in blocks[first:last]:
+                p, gb = probs[lo:hi], g[lo:hi]
+                if dv is not None:
+                    np.matmul(gb, p, out=dv[lo:hi])
+                if dk is None and dq_t is None:
+                    continue
+                dp = (vd[lo:hi].swapaxes(-1, -2) @ gb).swapaxes(-1, -2)
+                ds = dp - (dp * p).sum(axis=-1, keepdims=True)
+                ds *= p
+                if dk is not None:
+                    np.matmul(qs[lo:hi], ds, out=dk[lo:hi])
+                if dq_t is not None:
+                    np.matmul(ds, kd[lo:hi].swapaxes(-1, -2), out=dq_t[lo:hi])
+
+        # g·P for v's gradient; vᵀg, then q·dS and dS·kᵀ, for k's and q's
+        products = sum(a is not None for a in (dv, dk, dq_t)) \
+            + (dk is not None or dq_t is not None)
+        _halves(grads, len(blocks), products * work)
         if dv is not None:
             _accumulate(v, dv.reshape(v.shape), owned=True)
         if dk is not None:
@@ -749,7 +911,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     zeroed.  The x-gradient (col2im) is one ``np.bincount`` per image
     through the same map: it adds in index order, so each input pixel gets
     its terms in ascending (oy, ox), the order of a scatter over the
-    columns in row order.
+    columns in row order.  The gathers, the per-image products and the
+    col2im run over ranges of images (``_halves``); the weight and bias
+    gradients, each one reduction over the whole batch, run in the caller.
+    col2im's product is one GEMM over the rows of its range of images, the
+    whole batch's when the call does not split; a split's halves then equal
+    it bit for bit only where BLAS gives each row the same result whatever
+    the row count, which ``TestConv2d`` checks at the default model's shapes.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: need 4-d input/weight, got {x.shape}, {w.shape}")
@@ -773,19 +941,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     flat = nhwc.reshape(B, H * W * C) if channels_last \
         else np.ascontiguousarray(x.data).reshape(B, C * H * W)
     index, pads = _im2col_index(H, W, C, kh, kw, stride, padding, channels_last)
-    if kh == kw == stride == 1 and not padding and channels_last:
-        # the map is the identity; a gathered copy would cost a fresh buffer
-        cols = flat.reshape(B, H * W, C)
-    else:
-        # padding taps point one past the image: clipped to its last
-        # pixel, then zeroed
-        cols = np.take(flat, index, axis=1, mode="clip")
-        cols.reshape(B, -1)[:, pads] = 0.0
+    identity = kh == kw == stride == 1 and not padding and channels_last
+    # where the map is the identity a gathered copy would cost a fresh buffer
+    cols = flat.reshape(B, H * W, C) if identity else np.empty((B, Ho * Wo, C * kh * kw))
     wmat = w.data.reshape(O, C * kh * kw)
-    # one product per image, so an image's output does not depend on the batch
-    out = cols @ wmat.T
-    if b is not None:
-        out += b.data
+    out = np.empty((B, Ho * Wo, O))
+    work = B * Ho * Wo * O * C * kh * kw
+
+    def forward(lo, hi):
+        if not identity:
+            # padding taps point one past the image: clipped to its last
+            # pixel, then zeroed
+            np.take(flat[lo:hi], index, axis=1, mode="clip", out=cols[lo:hi])
+            cols[lo:hi].reshape(hi - lo, -1)[:, pads] = 0.0
+        # one product per image, so an image's output does not depend on the batch
+        np.matmul(cols[lo:hi], wmat.T, out=out[lo:hi])
+        if b is not None:
+            out[lo:hi] += b.data
+
+    _halves(forward, B, work)
     out = out.reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -796,13 +970,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         if b is not None and b.requires_grad:
             _accumulate(b, gmat.sum(axis=0), owned=True)
         if x.requires_grad:
-            gcols = (gmat @ wmat).reshape(B, -1)
+            rows = Ho * Wo
+            gcols = np.empty((B * rows, C * kh * kw))
             taps = index.reshape(-1)
             size = C * H * W
             gx = np.empty((B, size))
-            for i in range(B):
-                # the bin one past the image collects the padding taps' terms
-                gx[i] = np.bincount(taps, weights=gcols[i], minlength=size + 1)[:size]
+
+            def col2im(lo, hi):
+                # one product over the images' rows: over the whole batch
+                # when the call does not split, as a composed conv would
+                np.matmul(gmat[lo * rows:hi * rows], wmat, out=gcols[lo * rows:hi * rows])
+                for i in range(lo, hi):
+                    # the bin one past the image collects the padding taps' terms
+                    gx[i] = np.bincount(taps, weights=gcols[i * rows:(i + 1) * rows].ravel(),
+                                        minlength=size + 1)[:size]
+
+            _halves(col2im, B, work)
             gx = gx.reshape(B, H, W, C).transpose(0, 3, 1, 2) if channels_last \
                 else gx.reshape(B, C, H, W)
             _accumulate(x, gx, owned=True)

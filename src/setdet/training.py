@@ -32,6 +32,7 @@ from .detector import (
     DetectionOutput,
     Detector,
     ModelConfig,
+    NonFiniteInputError,
     check_arrays,
     load_checkpoint,
     postprocess,
@@ -336,18 +337,23 @@ def _map_chunks(fn, samples) -> list:
     ``PREDICT_CHUNK`` samples, with ``images`` the chunk's stacked [b,3,H,W]
     images; the results come back in sample order.
 
-    The chunks run on one thread per usable CPU (a single chunk runs in the
-    calling thread).  Images share no state in a forward but conv2d's
-    read-only index maps, and every op computes each image with the same
-    products whatever the batch (conv2d gathers each image's columns
-    through the map and runs one product per image).  So the results do
-    not depend on the threads, the chunking or the image sizes seen
-    before: they equal one forward over all the images, or over each image
-    alone, bit for bit.  The threads pay off with one BLAS thread
+    The chunks run on one thread per usable CPU (``T._usable_cpus``; a
+    single chunk runs in the calling thread).  While two or more chunk
+    workers run they hold the spare-core token (``T._SPARE_CORE``, waited
+    for if an op elsewhere holds it), so no op inside a chunk splits its
+    slices over the helper thread: every core already runs a chunk.  A
+    single chunk's ops may split.  Images share no state in a forward but
+    conv2d's read-only index maps, and every op computes each image with
+    the same products whatever the batch (conv2d gathers each image's
+    columns through the map and runs one product per image).  So the
+    results do not depend on the threads, the chunking or the image sizes
+    seen before: they equal one forward over all the images, or over each
+    image alone, bit for bit.  The threads pay off with one BLAS thread
     (``OPENBLAS_NUM_THREADS=1``), the setting every measurement of setdet
     uses: a multi-threaded BLAS already spreads each large product over
     the cores and spin-waits, and the two kinds of threads then compete.
-    All images must share one shape.
+    All images must share one shape.  A non-finite pixel raises
+    ``NonFiniteInputError`` naming the sample's index in ``samples``.
     """
     shapes = [(3, *s.labels.shape) for s in samples]    # images are built per chunk
     for i, shape in enumerate(shapes):
@@ -355,24 +361,21 @@ def _map_chunks(fn, samples) -> list:
             raise DimensionError(f"sample {i} has image shape {shape}, "
                                  f"sample 0 has {shapes[0]}")
 
-    def run(chunk):
+    def run(lo):
+        chunk = samples[lo:lo + PREDICT_CHUNK]
         images = np.stack([s.image for s in chunk])
-        with T.no_grad():
-            return fn(images, chunk)
+        try:
+            with T.no_grad():
+                return fn(images, chunk)
+        except NonFiniteInputError as exc:     # the model saw the chunk as its batch
+            raise NonFiniteInputError(lo + exc.image, len(samples), exc.count) from None
 
-    chunks = [samples[lo:lo + PREDICT_CHUNK]
-              for lo in range(0, len(samples), PREDICT_CHUNK)]
-    workers = min(len(chunks), _usable_cpus())
+    starts = range(0, len(samples), PREDICT_CHUNK)
+    workers = min(len(starts), T._usable_cpus())
     if workers <= 1:
-        return [run(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, chunks))
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return [run(lo) for lo in starts]
+    with T._SPARE_CORE, ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, starts))
 
 
 def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,

@@ -48,22 +48,23 @@ MUTANTS = (
      "         + np.arange(kh)[None, None, None, :, None] - padding)\n",
      ["tests/test_tensor.py::TestConv2d::test_forward_bitwise_matches_window"]),
     ("conv2d's padding taps are not zeroed", "tensor.py",
-     "        cols.reshape(B, -1)[:, pads] = 0.0\n",
+     "            cols[lo:hi].reshape(hi - lo, -1)[:, pads] = 0.0\n",
      "",
      ["tests/test_tensor.py::TestConv2d::test_forward_bitwise_matches_window"]),
     ("one image's conv2d x-gradient adds out of index order", "tensor.py",
-     "gx[i] = np.bincount(taps, weights=gcols[i], minlength=size + 1)[:size]",
-     "gx[i] = np.bincount(taps[::-1] if i == B - 1 else taps, minlength=size + 1, "
-     "weights=gcols[i][::-1] if i == B - 1 else gcols[i])[:size]",
+     "gx[i] = np.bincount(taps, weights=gcols[i * rows:(i + 1) * rows].ravel(),",
+     "gx[i] = np.bincount(taps[::-1] if i == B - 1 else taps, "
+     "weights=gcols[i * rows:(i + 1) * rows].ravel()[::-1] if i == B - 1 "
+     "else gcols[i * rows:(i + 1) * rows].ravel(),",
      ["tests/test_tensor.py::TestConv2d::test_x_gradient_bitwise_matches_scatter"]),
     ("the cached im2col index map is left writable", "tensor.py",
      "    index.flags.writeable = pads.flags.writeable = False\n",
      "    pads.flags.writeable = False\n",
      ["tests/test_tensor.py::TestConv2d::test_index_map_is_read_only_and_shared"]),
     ("chunked forward returns chunks as they complete", "training.py",
-     "return list(pool.map(run, chunks))",
+     "return list(pool.map(run, starts))",
      "return [f.result() for f in __import__('concurrent.futures').futures"
-     ".as_completed([pool.submit(run, c) for c in chunks])]",
+     ".as_completed([pool.submit(run, lo) for lo in starts])]",
      ["tests/test_training.py::TestPredictBatch"]),
     ("padded IoU pairs are not masked to -1", "evaluation.py",
      "ious = np.where(det_real[:, :, None] & gt_real[:, None, :], "
@@ -80,22 +81,30 @@ MUTANTS = (
      "            out = model.forward(images, train=True, rng=rng_step)\n",
      ["tests/test_training.py::TestTrainLoop::test_metrics_equal_the_recorded_run"]),
     ("attention softmax without the max subtraction", "tensor.py",
-     "        p -= p.max(axis=-1, keepdims=True)\n",
+     "            p -= p.max(axis=-1, keepdims=True)\n",
      "",
      ["tests/test_tensor.py::TestAttention"]),
     ("linear adds the bias after the ReLU", "tensor.py",
-     "    out = w.data @ x.data\n"
-     "    out += b.data\n"
-     "    mask = None\n"
-     "    if relu:\n"
-     "        mask = out > 0\n"
-     "        out *= mask\n",
-     "    out = w.data @ x.data\n"
-     "    mask = None\n"
-     "    if relu:\n"
-     "        mask = out > 0\n"
-     "        out *= mask\n"
-     "    out += b.data\n",
+     "        out += b.data\n"
+     "        mask = None\n"
+     "        if relu:\n"
+     "            mask = out > 0\n"
+     "            out *= mask\n",
+     "        mask = None\n"
+     "        if relu:\n"
+     "            mask = out > 0\n"
+     "            out *= mask\n"
+     "        out += b.data\n",
+     ["tests/test_tensor.py::TestLinear"]),
+    ("a split linear adds the bias after the ReLU", "tensor.py",
+     "            o += b.data\n"
+     "            if mask is not None:\n"
+     "                np.greater(o, 0, out=mask[lo:hi])\n"
+     "                o *= mask[lo:hi]\n",
+     "            if mask is not None:\n"
+     "                np.greater(o, 0, out=mask[lo:hi])\n"
+     "                o *= mask[lo:hi]\n"
+     "            o += b.data\n",
      ["tests/test_tensor.py::TestLinear"]),
     ("dropout backward drops the 1/(1-p) scale", "tensor.py",
      "        scaled = kept / (1.0 - p)\n        scaled *= g\n",
@@ -196,6 +205,27 @@ MUTANTS = (
      "    x0, x1 = cols[0], cols[-1]\n",
      ["tests/test_data.py::TestWindowedRaster::test_equals_the_full_frame_raster",
       "tests/test_data.py::TestDenseReference::test_generate_scene"]),
+    ("the helper's half starts one slice late", "tensor.py",
+     "upper = _helper().submit(fn, mid, n)",
+     "upper = _helper().submit(fn, mid + 1, n)",
+     ["tests/test_tensor.py::TestSpareCore::test_halves_cover_every_slice_once"]),
+    ("the spare-core token is not released on an exception", "tensor.py",
+     "            upper.result()\n"
+     "    finally:\n"
+     "        _SPARE_CORE.release()\n",
+     "            upper.result()\n"
+     "    except BaseException:\n"
+     "        raise\n"
+     "    _SPARE_CORE.release()\n",
+     ["tests/test_tensor.py::TestSpareCore::test_error_reaches_the_caller_and_frees_the_token"]),
+    ("the join ends at the poll's deadline, before a slow helper's half", "tensor.py",
+     "                wait((upper,))\n",
+     "",
+     ["tests/test_tensor.py::TestSpareCore::test_caller_error_waits_for_a_slow_helper"]),
+    ("_map_chunks does not hold the spare-core token", "training.py",
+     "with T._SPARE_CORE, ThreadPoolExecutor(workers) as pool:",
+     "with ThreadPoolExecutor(workers) as pool:",
+     ["tests/test_spare_core.py::test_multi_chunk_predict_batch_hands_nothing_to_the_helper"]),
 )
 
 

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -501,6 +502,59 @@ class TestConv2d:
             assert grad_check(lambda t: fn(x, t, b), w, eps=1e-5) <= 1e-5
             assert grad_check(lambda t: fn(x, w, t), b, eps=1e-5) <= 1e-5
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("shape, weight, stride, padding, layout", [
+        ((16, 3, 64, 64), (16, 3, 3, 3), 2, 1, "nchw"),             # an image batch
+        ((16, 16, 32, 32), (32, 16, 3, 3), 2, 1, "channels-last"),  # a ReLU output
+        ((16, 64, 8, 8), (64, 64, 1, 1), 1, 0, "channels-last"),    # the identity map
+        ((5, 2, 7, 9), (4, 2, 2, 3), 3, 2, "strided"),
+    ])
+    def test_split_equals_serial_bitwise(self, monkeypatch, cpus, shape, weight, stride,
+                                         padding, layout):
+        rng = np.random.default_rng(23)
+        x = layouts(rng.uniform(-1, 1, shape))[layout]
+        w, b = rng.uniform(-1, 1, weight), rng.uniform(-1, 1, weight[0])
+
+        def run():
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+            g = np.random.default_rng(1).uniform(-1, 1, out.shape)
+            T.tsum(T.mul(out, Tensor(g))).backward()
+            return [np.ascontiguousarray(a).tobytes()
+                    for a in (out.data, xt.grad, wt.grad, bt.grad)]
+
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+        want = run()
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "SPLIT_MIN_WORK", 0)
+        helper = record_helper(monkeypatch)
+        assert run() == want
+        # the gathers and products, then the col2im
+        assert helper.calls == [(shape[0] // 2, shape[0])] * 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("shape, weight, stride, padding, layout", [
+        ((16, 3, 64, 64), (16, 3, 3, 3), 2, 1, "nchw"),             # the default backbone
+        ((16, 16, 32, 32), (32, 16, 3, 3), 2, 1, "channels-last"),
+        ((16, 32, 16, 16), (64, 32, 3, 3), 2, 1, "channels-last"),
+        ((16, 64, 8, 8), (64, 64, 1, 1), 1, 0, "channels-last"),    # the input projection
+    ])
+    def test_x_gradient_at_model_shapes_matches_scatter(self, monkeypatch, cpus, shape, weight,
+                                                        stride, padding, layout):
+        """col2im's product per range of images, split or not, equals the
+        reference's one whole-batch GEMM: BLAS must give each row the same
+        result whatever the row count."""
+        rng = np.random.default_rng(24)
+        x = layouts(rng.uniform(-1, 1, shape))[layout]
+        w = rng.uniform(-1, 1, weight)
+        want = conv_x_grad(scatter_conv2d, x, w, stride, padding, upstream_seed=1)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "SPLIT_MIN_WORK", 0)
+        helper = record_helper(monkeypatch)
+        got = conv_x_grad(T.conv2d, x, w, stride, padding, upstream_seed=1)
+        assert got.tobytes() == want.tobytes()
+        assert len(helper.calls) == (2 if cpus > 1 else 0)
+
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -695,15 +749,30 @@ LINEAR_SHAPES = [((64, 64), (16, 64, 64)), ((256, 64), (16, 64, 64)),
 
 
 class TestLinear:
-    @pytest.mark.parametrize("relu", [False, True])
-    @pytest.mark.parametrize("w_shape,x_shape", LINEAR_SHAPES)
-    def test_bitwise_equal_to_composed_chain(self, w_shape, x_shape, relu):
+    @staticmethod
+    def check_bitwise(w_shape, x_shape, relu):
         rng = np.random.default_rng(8)
         arrays = [rng.normal(size=w_shape), rng.normal(size=x_shape),
                   rng.normal(size=(w_shape[0], 1))]
         want = op_run(composed_linear, arrays, relu=relu)
         got = op_run(T.linear, arrays, relu=relu)
         assert_bitwise(got, want, ("no_grad", "forward", "dw", "dx", "db"))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("w_shape,x_shape", LINEAR_SHAPES)
+    def test_bitwise_equal_to_composed_chain(self, monkeypatch, w_shape, x_shape, relu):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)   # the whole-array path
+        self.check_bitwise(w_shape, x_shape, relu)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("w_shape,x_shape", LINEAR_SHAPES)
+    def test_sliced_form_bitwise_equal_to_composed_chain(self, monkeypatch, w_shape, x_shape,
+                                                         relu):
+        # with no bound every call whose x has 2+ slices takes the
+        # per-slice form, split over both threads
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(T, "SPLIT_MIN_WORK", 0)
+        self.check_bitwise(w_shape, x_shape, relu)
 
     def test_operand_without_gradient_gets_none(self):
         rng = np.random.default_rng(9)
@@ -805,7 +874,8 @@ class TestAttention:
         for which in range(3):
             assert check(which) <= 1e-6, which
 
-    def test_no_grad_holds_one_block(self):
+    def test_no_grad_holds_one_block(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 1)       # the serial path
         rng = np.random.default_rng(3)
         q, k, v = (Tensor(rng.normal(size=(1, 8, 8, 225))) for _ in range(3))
         full_scores = 8 * 225 * 225 * 8                     # 3.2 MB
@@ -821,6 +891,39 @@ class TestAttention:
         # peaked at 6.6 MB
         assert peak < full_scores / 3
         # what stays alive is the [1,8,8,225] output, not the probabilities
+        assert current < 4 * out.data.nbytes
+        assert out._backward is None and out._parents == ()
+
+    def test_no_grad_holds_one_block_per_thread(self, monkeypatch):
+        # the 1-CPU test's twin: at 2 CPUs the helper runs the upper 4 of
+        # the 8 one-slice blocks into a block of scores of its own (6.5M
+        # multiplies, below the bound, which is lifted)
+        monkeypatch.setattr(T, "SPLIT_MIN_WORK", 0)
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(1, 8, 8, 225))) for _ in range(3))
+        block = 225 * 225 * 8                               # 405 kB
+
+        def run(cpus):
+            monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                with T.no_grad():
+                    out = T.attention(q, k, v, 0.35)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return out, current, peak
+
+        serial, _, serial_peak = run(1)
+        run(2)                              # the helper thread starts outside the count
+        helper = record_helper(monkeypatch)
+        out, current, peak = run(2)
+        assert helper.calls == [(4, 8)]
+        # at most the helper's own block and its small temporaries (the two
+        # halves need not overlap in time): a second block in either thread
+        # would add 405 kB more
+        assert peak < serial_peak + block * 3 / 2
+        assert out.data.tobytes() == serial.data.tobytes()
         assert current < 4 * out.data.nbytes
         assert out._backward is None and out._parents == ()
 
@@ -898,6 +1001,123 @@ def test_multiply_counter_counts_matmul_only():
         T.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))),
                  Tensor(np.ones((3, 1))), relu=True)
     assert c.count == 2 * 3 * 4 * 5 and T.linear is linear
+
+
+class RecordingHelper:
+    """Stands in for ``T._helper()``: records each (lo, hi) half it is
+    handed and runs it on the real helper thread, returning once the half
+    has started there, so the caller never runs it in the helper's place."""
+
+    def __init__(self):
+        self.real, self.calls = T._helper(), []
+
+    def submit(self, fn, lo, hi):
+        self.calls.append((lo, hi))             # atomic, from any thread
+        started = threading.Event()
+
+        def run():
+            started.set()
+            fn(lo, hi)
+
+        upper = self.real.submit(run)
+        assert started.wait(timeout=10)
+        return upper
+
+
+def record_helper(monkeypatch) -> RecordingHelper:
+    helper = RecordingHelper()
+    monkeypatch.setattr(T, "_helper", lambda: helper)
+    return helper
+
+
+class TestSpareCore:
+    """``T._halves``, the dispatcher that splits an op's slices over the
+    calling thread and the helper thread."""
+
+    @staticmethod
+    def halves(n, work=T.SPLIT_MIN_WORK, fail=(), ran=None):
+        """The (lo, hi, in the caller) ranges ``T._halves`` runs, also into
+        ``ran``; a split's lower half waits until the helper has started the
+        upper one, and the halves named in ``fail`` raise instead."""
+        ran, started = [] if ran is None else ran, threading.Event()
+
+        def fn(lo, hi):
+            lower, upper = lo == 0 and hi < n, lo > 0
+            if upper:
+                started.set()
+            if lower:
+                assert started.wait(timeout=10)
+            if (lower and "caller" in fail) or (upper and "helper" in fail):
+                raise RuntimeError(f"half {lo}-{hi} failed")
+            ran.append((lo, hi, threading.current_thread() is threading.main_thread()))
+
+        T._halves(fn, n, work)
+        return sorted(ran)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    def test_halves_cover_every_slice_once(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        assert self.halves(n) == [(0, n // 2, True), (n // 2, n, False)]
+        assert not T._SPARE_CORE.locked()
+
+    @pytest.mark.parametrize("cpus,n,work", [
+        (1, 8, T.SPLIT_MIN_WORK),           # one CPU
+        (2, 1, T.SPLIT_MIN_WORK),           # one slice
+        (2, 8, T.SPLIT_MIN_WORK - 1),       # too little work
+    ])
+    def test_serial_cases_run_in_the_caller(self, monkeypatch, cpus, n, work):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        assert self.halves(n, work) == [(0, n, True)]
+
+    def test_taken_token_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        with T._SPARE_CORE:
+            assert self.halves(8) == [(0, 8, True)]
+
+    def test_busy_helper_leaves_its_half_to_the_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        blocker = T._helper().submit(release.wait, 10)
+        ran = []
+        try:
+            T._halves(lambda lo, hi: ran.append(
+                (lo, hi, threading.current_thread() is threading.main_thread())),
+                8, T.SPLIT_MIN_WORK)
+        finally:
+            release.set()
+        assert blocker.result() and ran == [(0, 4, True), (4, 8, True)]
+        assert not T._SPARE_CORE.locked()
+
+    def test_caller_error_waits_for_a_slow_helper(self, monkeypatch):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        started, ran = threading.Event(), []
+
+        def fn(lo, hi):
+            if lo > 0:
+                started.set()
+                time.sleep(20 * T.JOIN_SPIN_S)      # past the caller's poll
+                ran.append((lo, hi))
+                return
+            assert started.wait(timeout=10)
+            raise RuntimeError("lower half failed")
+
+        with pytest.raises(RuntimeError, match="lower half failed"):
+            T._halves(fn, 8, T.SPLIT_MIN_WORK)
+        assert ran == [(4, 8)] and not T._SPARE_CORE.locked()
+
+    @pytest.mark.parametrize("failing", ["helper", "caller", "both"])
+    def test_error_reaches_the_caller_and_frees_the_token(self, monkeypatch, failing):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        ran = []
+        with pytest.raises(RuntimeError, match="half (0|4)-(4|8) failed"):
+            self.halves(8, fail=("helper", "caller") if failing == "both" else (failing,),
+                        ran=ran)
+        assert not T._SPARE_CORE.locked()
+        # both halves ended before the call returned, and the next op splits
+        assert sorted(ran) == {"helper": [(0, 4, True)], "caller": [(4, 8, False)],
+                               "both": []}[failing]
+        assert self.halves(8) == [(0, 4, True), (4, 8, False)]
 
 
 def test_no_grad_suppresses_tape():

@@ -521,7 +521,7 @@ class TestPredictBatch:
     @pytest.fixture(params=[1, 2, 3])
     def cpus(self, request, monkeypatch):
         # how many CPUs predict_batch sees, whatever this host has
-        monkeypatch.setattr(training, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: request.param)
         return request.param
 
     @pytest.fixture(scope="class")
@@ -564,11 +564,11 @@ class TestPredictBatch:
     def test_non_finite_image_rejected(self, model, samples, cpus):
         bad = copy.deepcopy(samples[23])
         bad.palette[:, bad.labels[0, 0]] = np.nan       # written after validation
-        with pytest.raises(ValueError, match=r"input image 3 of 20 has \d+ non-finite"):
+        with pytest.raises(ValueError, match=r"input image 23 of 45 has \d+ non-finite"):
             predict_batch(model, [*samples[:23], bad, *samples[24:]])
 
     def test_one_chunk_runs_inline(self, model, samples, monkeypatch):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
         threads = []
         forward = model.forward
 
@@ -598,7 +598,7 @@ class TestPredictBatch:
     @pytest.mark.parametrize("odd", [1, 20, 44])
     def test_mixed_image_sizes_rejected_before_any_forward(
             self, model, samples, monkeypatch, odd):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 3)
         calls = []
         monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
         mixed = list(samples)
@@ -679,7 +679,7 @@ class TestEvaluateLayers:
     @pytest.mark.parametrize("nms_thresh", [0.1, 0.5])
     def test_one_forward_per_chunk_equals_a_pass_per_layer(
             self, model, samples, monkeypatch, cpus, nms_thresh):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         want = evaluate_layers_reference(model, samples, nms_thresh)
         calls = []
         forward = model.forward
@@ -779,7 +779,7 @@ class TestPanopticBatchRank:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_evaluate_panoptic_one_forward_per_chunk(self, model, head, samples,
                                                      monkeypatch, cpus):
-        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
         want = eval_panoptic_reference(model, head, samples, 2, 0.0)
         calls = self.count_forwards(model, monkeypatch)
         got = evaluate_panoptic(model, head, samples, 2, conf_thresh=0.0)
