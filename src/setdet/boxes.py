@@ -28,20 +28,26 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU, [..., m, 4] x [..., n, 4] -> [..., m, n]; zero-area
     pairs give 0.  Leading axes broadcast: [I, m, 4] x [I, n, 4] gives one
     [m, n] matrix per image, each equal to that image's 2-D call."""
-    inter, union, _ = _pairwise_areas(boxes_a, boxes_b)
+    inter, union = _inter_union(*_pairwise_corners(boxes_a, boxes_b))
     return inter / np.maximum(union, _AREA_EPS)
 
 
 def giou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU in [-1, 1], shaped as ``iou_matrix``."""
-    inter, union, hull = _pairwise_areas(boxes_a, boxes_b)
+    ca, cb = _pairwise_corners(boxes_a, boxes_b)
+    inter, union = _inter_union(ca, cb)
     iou = inter / np.maximum(union, _AREA_EPS)
+    hull = ((np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0]))
+            * (np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])))
     return iou - (hull - union) / np.maximum(hull, _AREA_EPS)
 
 
-def _pairwise_areas(boxes_a, boxes_b):
-    ca = box_corners(boxes_a)[..., :, None, :]  # [...,m,1,4]
-    cb = box_corners(boxes_b)[..., None, :, :]  # [...,1,n,4]
+def _pairwise_corners(boxes_a, boxes_b):
+    """Corners broadcast for pairing: [..., m, 1, 4] and [..., 1, n, 4]."""
+    return box_corners(boxes_a)[..., :, None, :], box_corners(boxes_b)[..., None, :, :]
+
+
+def _inter_union(ca, cb):
     iw = np.maximum(np.minimum(ca[..., 2], cb[..., 2])
                     - np.maximum(ca[..., 0], cb[..., 0]), 0.0)
     ih = np.maximum(np.minimum(ca[..., 3], cb[..., 3])
@@ -49,10 +55,7 @@ def _pairwise_areas(boxes_a, boxes_b):
     inter = iw * ih
     area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
     area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
-    union = area_a + area_b - inter
-    hw = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
-    hh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
-    return inter, union, hw * hh
+    return inter, area_a + area_b - inter
 
 
 def _corners_t(boxes: Tensor):

@@ -11,6 +11,16 @@ once, and every IoU threshold and size bucket is matched against them.  A
 class is scored in one pass over all I images: its detections and ground
 truth are padded into [I, n_max, 4] and [I, m_max, 4] stacks, giving one
 [I, n_max, m_max] IoU tensor and one greedy match per class.
+
+Most detections can match nothing.  A *live row* is a detection with an
+IoU at or above the lowest threshold against some ground truth of its
+class and image; any other row takes no column at any threshold and
+changes no state, so the matcher visits live rows only.  On the val split
+a class pads each image to 7-8 detection rows, but only about one of them
+(at most 4-6) is live: the rest are duplicates, wrong-class boxes or
+background.  The precision-recall curves of every (area range, threshold)
+pair are then integrated together, in whole-array passes over the
+detections in confidence order.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ IOU_THRESHOLDS = np.arange(0.50, 0.96, 0.05)
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 # box-area ranges [lo, hi): all, small, medium, large
 AREA_RANGES = ((-np.inf, np.inf), (0.0, 1 / 64), (1 / 64, 1 / 16), (1 / 16, np.inf))
+
+
+class NonFiniteDetectionError(ValueError):
+    """A detection's confidence or box holds NaN or inf."""
 
 
 @dataclass
@@ -62,32 +76,57 @@ def greedy_match(ious, thresholds, ignored=None) -> np.ndarray:
     the T ``thresholds``, a row takes the not yet taken column of highest
     IoU >= threshold (the first on ties).  Columns flagged in ``ignored``
     (broadcast against [..., T, m]: [m] for every threshold, or one mask
-    per threshold) are tried only when no other column qualifies.  Returns
-    [..., T, n]: the column each row took, or -1.
+    per threshold) are tried only when no other column qualifies.  A NaN
+    IoU in a column still free in a pool blocks that pool for the row.
+    Returns [..., T, n]: the column each row took, or -1.
+
+    Only live rows are visited: a row with no IoU at or above the lowest
+    threshold can take nothing, and in detection output most rows are such
+    (duplicates, other objects' boxes, background).  Step r takes the r-th
+    live row of every problem that has one, at every threshold and in both
+    pools at once; problems are ordered by live-row count, so the problems
+    of step r are a leading slice.  Free columns read their IoU and all
+    others -1, so thresholds are taken to be above -1.
     """
     ious = np.asarray(ious, dtype=np.float64)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     *batch, n, m = ious.shape
-    took = np.full((n, *batch, len(thresholds)), -1)
-    if m == 0:
-        return np.moveaxis(took, 0, -1)
-    # columns lead, so each reduction over them is m whole-array passes
-    # instead of one short reduction per (..., threshold)
-    ious = np.moveaxis(ious, -1, 0)[..., None]                    # [m, ..., n, 1]
-    ignored = np.moveaxis(np.broadcast_to(False if ignored is None else ignored,
-                                          (*batch, len(thresholds), m)), -1, 0)
-    taken = np.zeros(ignored.shape, dtype=bool)                   # [m, ..., T]
-    columns = np.arange(m).reshape(m, *[1] * (taken.ndim - 1))
-    pools = (~ignored, ignored)
-    for i in range(n):
-        for pool in pools:
-            free = np.where(pool & ~taken, ious[..., i, :], -1.0)
-            top = free.max(axis=0)
-            best = np.where(free == top, columns, m).min(axis=0)  # first column at the top
-            hit = (took[i] < 0) & (top >= thresholds)
-            took[i][hit] = best[hit]
-            taken |= hit & (columns == best)
-    return np.moveaxis(took, 0, -1)
+    num_t = len(thresholds)
+    took = np.full((*batch, num_t, n), -1)
+    if took.size == 0 or m == 0:
+        return took
+    ious = ious.reshape(-1, n, m)
+    # fmin skips a NaN threshold, which no IoU reaches
+    live = (ious >= np.fmin.reduce(thresholds)).any(axis=-1)          # [P, n]
+    count = live.sum(axis=1)
+    problems = np.argsort(-count, kind="stable")
+    count = count[problems]
+    if count[0] == 0:
+        return took
+    problem, row = np.nonzero(live[problems])
+    step = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    # the r-th live row of each problem, columns leading: [steps, m, 1, P]
+    rows = np.zeros((count[0], m, 1, len(problems)))
+    rows[step, :, 0, problem] = ious[problems[problem], row]
+    ignored = np.broadcast_to(False if ignored is None else ignored, (*batch, num_t, m))
+    ignored = ignored.reshape(-1, num_t, m)[problems].transpose(2, 1, 0)   # [m, T, P]
+    # the free columns of each pool, in-range first: [2, m, T, P]
+    free = np.ascontiguousarray(np.stack((~ignored, ignored)))
+    columns = np.arange(m)[:, None, None]
+    # the first column at the top is m minus the largest m - c over columns c at the top
+    reversed_columns = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None, None]
+    thresholds = thresholds[:, None]
+    took_live = np.empty((count[0], num_t, len(problems)), dtype=took.dtype)
+    for r in range(count[0]):
+        k = int(np.count_nonzero(count > r))
+        ranked = np.where(free[..., :k], rows[r, ..., :k], -1.0)
+        top = ranked.max(axis=1)                                          # [2, T, k]
+        best = m - ((ranked == top[:, None]) * reversed_columns).max(axis=1).astype(np.intp)
+        hit = top >= thresholds
+        took_live[r, :, :k] = pick = np.where(hit[0], best[0], np.where(hit[1], best[1], -1))
+        free[..., :k] &= columns != pick
+    took.reshape(-1, num_t, n)[problems[problem], :, row] = took_live[step, :, problem]
+    return took
 
 
 def _pad(rows, image, num_images):
@@ -111,36 +150,72 @@ def _class_ap(scores, det_boxes, det_image, gt_boxes, gt_image, num_images,
     Both sides are padded to one [I, k_max, 4] stack, so one IoU tensor and
     one greedy match serve every image; padded pairs get IoU -1 and never
     reach a threshold.
+
+    Only the M rows that took a column at some threshold differ between
+    curves; any other row is a false positive of each range its own area
+    lies in.  So each (range, threshold) curve is a column of [M, R*T]
+    outcomes in confidence order, plus a count of those false positives.
+    A curve's precision envelope is a suffix maximum over its true
+    positives alone, since precision falls at every false positive, and
+    recall point p is reached at the first true positive whose recall
+    t / G (G ground truth in range) is at or above p.
     """
-    num_t = len(thresholds)
-    # one (range, threshold) pair per row: [R*T, 1]
-    lo, hi = np.repeat(np.asarray(area_ranges, dtype=np.float64).T, num_t, axis=1)[:, :, None]
+    num_r, num_t = len(area_ranges), len(thresholds)
+    lo, hi = np.asarray(area_ranges, dtype=np.float64).T[:, :, None]   # [R, 1]
     # descending confidence within each image, ties in detection order
     order = np.lexsort((-scores, det_image))
     scores, det_image = scores[order], det_image[order]
     dets, det_real = _pad(det_boxes[order], det_image, num_images)    # [I, n, 4]
     gts, gt_real = _pad(gt_boxes, gt_image, num_images)               # [I, m, 4]
     ious = np.where(det_real[:, :, None] & gt_real[:, None, :], iou_matrix(dets, gts), -1.0)
-    det_area = (dets[..., 2] * dets[..., 3])[:, None, :]
     # padding and an appended column have NaN area, in no range; a row that
     # took no column reads the appended one
     gt_area = np.where(gt_real, gts[..., 2] * gts[..., 3], np.nan)
     gt_area = np.pad(gt_area, ((0, 0), (0, 1)), constant_values=np.nan)[:, None, :]
-    gt_inside = (gt_area >= lo) & (gt_area < hi)                       # [I, R*T, m+1]
-    took = greedy_match(ious, np.tile(thresholds, len(area_ranges)), ~gt_inside[..., :-1])
-    # +1 true positive, -1 false positive, 0 drops out of the curve
-    outcomes = np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=-1),
-                        -1 * ((det_area >= lo) & (det_area < hi)))
-    total_gt = gt_inside.sum(axis=(0, 2))
+    gt_inside = (gt_area >= lo) & (gt_area < hi)                       # [I, R, m+1]
+    took = greedy_match(ious, np.tile(thresholds, num_r),
+                        np.repeat(~gt_inside[..., :-1], num_t, axis=1))   # [I, R*T, n]
+    total_gt = gt_inside.sum(axis=(0, 2))                              # [R]
 
-    # real rows in image, then detection order; ties in confidence keep it
+    # real rows in confidence order; ties keep image, then detection order
     rank = np.argsort(-scores, kind="stable")
-    outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]
-    aps = np.full(len(outcomes), np.nan)
-    for k in np.flatnonzero(total_gt):
-        tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
-        aps[k] = _interpolated_ap(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
-    return aps.reshape(len(area_ranges), num_t)
+    image, slot = (index[rank] for index in np.nonzero(det_real))
+    det_area = dets[image, slot, 2] * dets[image, slot, 3]
+    det_inside = (det_area >= lo) & (det_area < hi)                    # [R, D]
+    # a row that took no column at any threshold is a false positive of each
+    # range it lies in; only the matched rows differ between thresholds
+    matched = (took >= 0).any(axis=1)[image, slot]
+    false_pos = np.cumsum(det_inside & ~matched, axis=1)               # [R, D]
+    rows = np.flatnonzero(matched)
+    image, slot = image[rows], slot[rows]
+    took = took[image, :, slot].reshape(len(rows), num_r, num_t)       # [M, R, T]
+    true_pos = np.take_along_axis(gt_inside[image], took, axis=-1)
+    # a row that took an out-of-range column, or took none and lies out of
+    # range itself, drops out of the curve
+    kept = true_pos | ((took < 0) & det_inside[:, rows].T[:, :, None])
+    true_pos = true_pos.reshape(len(rows), num_r * num_t)              # [M, R*T]
+    # true positives and curve entries so far, at each matched row
+    tp_count = np.cumsum(true_pos, axis=0)
+    kept_count = (np.cumsum(kept.reshape(len(rows), num_r * num_t), axis=0)
+                  + np.repeat(false_pos[:, rows].T, num_t, axis=1))
+    row, curve = np.nonzero(true_pos)
+    tp = tp_count[row, curve]
+    # the t-th true positive's precision in row t - 1, then the max over it
+    # and all later ones; the last row stays 0
+    envelope = np.zeros((tp.max(initial=0) + 1, num_r * num_t))
+    envelope[tp - 1, curve] = tp / kept_count[row, curve]
+    envelope = np.maximum.accumulate(envelope[::-1], axis=0)[::-1]
+    # the true positives each recall point needs, per range: [R, 101]
+    needed = np.zeros((num_r, len(RECALL_POINTS)), dtype=np.intp)
+    for r in np.flatnonzero(total_gt):
+        needed[r] = np.searchsorted(np.arange(total_gt[r] + 1) / total_gt[r],
+                                    RECALL_POINTS, side="left")
+    at = np.repeat(np.clip(needed - 1, 0, len(envelope) - 1), num_t, axis=0)
+    # [R*T, 101] in C order, so each row's mean sums pairwise as one curve's
+    # 1-D mean does
+    aps = envelope[at, np.arange(num_r * num_t)[:, None]].mean(axis=1)
+    aps[np.repeat(total_gt == 0, num_t)] = np.nan
+    return aps.reshape(num_r, num_t)
 
 
 def _image_index(per_image) -> np.ndarray:
@@ -166,27 +241,61 @@ def average_precision(detections_by_image, gts_by_image, iou_thresh: float,
                            [area_bucket or AREA_RANGES[0]])[0, 0])
 
 
+def _reject_first(bad, image, kind, fault, error=ValueError):
+    """Raise ``error`` for the first row flagged in ``bad``, naming its
+    image and its index there; ``image`` is non-decreasing and
+    ``fault(i)`` describes flat row i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = i - int(np.searchsorted(image, image[i]))
+        raise error(f"{kind} {row} of image {image[i]}: {fault(i)}")
+
+
+def _detection_boxes(boxes, image) -> np.ndarray:
+    """Per-detection boxes -> [D, 4] float64.  A box that is not 4 numbers
+    raises a ValueError, a non-finite one ``NonFiniteDetectionError``,
+    both named by ``_reject_first``."""
+    if not boxes:
+        return np.zeros((0, 4))
+    try:
+        stacked = np.array(boxes, dtype=np.float64)
+    except ValueError:
+        stacked = None        # rows of unequal shape, or not numbers
+    if stacked is None or stacked.shape != (len(boxes), 4):
+        _reject_first(np.array([np.shape(box) != (4,) for box in boxes]), image, "detection",
+                      lambda i: f"box of shape {np.shape(boxes[i])}, not (4,)")
+        stacked = np.array(boxes, dtype=np.float64)    # raises: an entry is no number
+    _reject_first(~np.isfinite(stacked).all(axis=1), image, "detection",
+                  lambda i: f"box {stacked[i].tolist()} is not finite", NonFiniteDetectionError)
+    return stacked
+
+
 def _flatten(detections_by_image, gts_by_image) -> tuple:
     """Per-image (confidence, box) lists and [m, 4] arrays -> the leading
-    arguments of ``_class_ap``."""
+    arguments of ``_class_ap``.  A box that is not 4 numbers, or a
+    non-finite ground-truth value, raises a ValueError naming its image and
+    row; a non-finite confidence or detection box value raises
+    ``NonFiniteDetectionError``."""
     if len(detections_by_image) != len(gts_by_image):
         raise ValueError(f"{len(detections_by_image)} detection lists for "
                          f"{len(gts_by_image)} images")
     dets = [det for image_dets in detections_by_image for det in image_dets]
-    gts = [np.asarray(g, dtype=np.float64).reshape(-1, 4) for g in gts_by_image]
-    return (np.array([conf for conf, _ in dets], dtype=np.float64),
-            np.array([box for _, box in dets], dtype=np.float64).reshape(-1, 4),
-            _image_index(detections_by_image), np.concatenate([np.zeros((0, 4)), *gts]),
-            _image_index(gts), len(gts))
-
-
-def _interpolated_ap(recall, precision) -> float:
-    # max precision at any recall >= r, evaluated at the 101 grid points;
-    # index -1 (no such recall, or no detections) reads the appended 0
-    order = np.argsort(-recall, kind="stable")
-    max_prec = np.append(np.maximum.accumulate(precision[order]), 0.0)
-    idx = np.searchsorted(-recall[order], -RECALL_POINTS, side="right") - 1
-    return float(max_prec[idx].mean())
+    det_image = _image_index(detections_by_image)
+    scores = np.array([conf for conf, _ in dets], dtype=np.float64)
+    _reject_first(~np.isfinite(scores), det_image, "detection",
+                  lambda i: f"confidence {scores[i]} is not finite", NonFiniteDetectionError)
+    gts = [np.asarray(g, dtype=np.float64) for g in gts_by_image]
+    gts = [g.reshape(0, 4) if g.size == 0 else g for g in gts]
+    for img, g in enumerate(gts):
+        if g.ndim != 2 or g.shape[1] != 4:
+            raise ValueError(f"ground truth of image {img}: boxes of shape {g.shape}, "
+                             f"not (m, 4)")
+    gt_image = _image_index(gts)
+    gt_boxes = np.concatenate([np.zeros((0, 4)), *gts])
+    _reject_first(~np.isfinite(gt_boxes).all(axis=1), gt_image, "ground truth",
+                  lambda i: f"box {gt_boxes[i].tolist()} is not finite")
+    det_boxes = _detection_boxes([box for _, box in dets], det_image)
+    return scores, det_boxes, det_image, gt_boxes, gt_image, len(gts)
 
 
 def _mean_over_classes(values) -> float:
@@ -195,22 +304,37 @@ def _mean_over_classes(values) -> float:
 
 
 def _by_class(classes, num_classes: int) -> list:
-    """Row indices of each class in 0..num_classes-1, in row order; other
-    class ids are in no list."""
+    """Row indices of each class in 0..num_classes-1, in row order."""
     order = np.argsort(classes, kind="stable")
     bounds = np.searchsorted(classes[order], np.arange(num_classes + 1))
     return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def evaluate_detections(detections, target_sets, num_classes: int) -> EvalReport:
-    """Full COCO-style report; per-class APs averaged over thresholds."""
+    """Full COCO-style report; per-class APs averaged over thresholds.
+
+    A class id outside [0, num_classes), a non-finite confidence or box
+    value, or a box that is not 4 numbers raises a ValueError naming the
+    image and the row (detection or ground truth); a non-finite detection
+    value raises its subclass ``NonFiniteDetectionError``.
+    """
     scores, det_boxes, det_image, gt_boxes, gt_image, num_images = _flatten(
         [[(d.confidence, d.box) for d in image_dets] for image_dets in detections],
         [ts.boxes for ts in target_sets])
-    det_rows = _by_class(np.array([d.class_id for image_dets in detections
-                                   for d in image_dets], dtype=np.int64), num_classes)
-    gt_rows = _by_class(np.concatenate([np.zeros(0, dtype=np.int64),
-                                        *(ts.classes for ts in target_sets)]), num_classes)
+    for img, ts in enumerate(target_sets):
+        if len(ts.classes) != len(ts.boxes):
+            raise ValueError(f"ground truth of image {img}: {len(ts.classes)} classes "
+                             f"for {len(ts.boxes)} boxes")
+    det_classes = np.array([d.class_id for image_dets in detections for d in image_dets],
+                           dtype=np.int64)
+    gt_classes = np.concatenate([np.zeros(0, dtype=np.int64),
+                                 *(ts.classes for ts in target_sets)])
+    for kind, classes, image in (("detection", det_classes, det_image),
+                                 ("ground truth", gt_classes, gt_image)):
+        _reject_first((classes < 0) | (classes >= num_classes), image, kind,
+                      lambda i: f"class {classes[i]} outside [0, {num_classes})")
+    det_rows = _by_class(det_classes, num_classes)
+    gt_rows = _by_class(gt_classes, num_classes)
     grid = {}
     for cls, (d, g) in enumerate(zip(det_rows, gt_rows)):
         if len(g):

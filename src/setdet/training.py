@@ -40,7 +40,14 @@ from .detector import (
     save_checkpoint,
     write_arrays,
 )
-from .evaluation import EvalReport, evaluate_detections, greedy_match, nms, panoptic_quality
+from .evaluation import (
+    EvalReport,
+    NonFiniteDetectionError,
+    evaluate_detections,
+    greedy_match,
+    nms,
+    panoptic_quality,
+)
 from .layers import ConfigError, check_bool, check_int, check_real, check_unit_interval
 from .matching import LossWeights, dice_loss, focal_loss, match, total_loss
 from .segmentation import MaskHead, downsample_map, panoptic_from_sample, panoptic_merge
@@ -443,7 +450,11 @@ def train(cfg: TrainConfig, out_dir: str, resume: str | None = None,
                 epoch_comps[key] += float(comps[key].sum())
             steps += 1
 
-        report = evaluate_model(model, val_set)
+        try:
+            report = evaluate_model(model, val_set)
+        except NonFiniteDetectionError as exc:
+            raise TrainingDivergedError(
+                f"non-finite model output in validation at epoch {epoch}: {exc}") from exc
         row = {
             "epoch": epoch,
             "loss": epoch_loss / steps,

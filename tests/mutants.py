@@ -28,16 +28,44 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, file under src/setdet, snippet, replacement, test ids that must fail)
 MUTANTS = (
     ("matcher takes IoU > threshold, not >=", "evaluation.py",
-     "hit = (took[i] < 0) & (top >= thresholds)",
-     "hit = (took[i] < 0) & (top > thresholds)",
+     "hit = top >= thresholds",
+     "hit = top > thresholds",
      ["tests/test_evaluation.py::TestGreedyMatch::test_against_per_threshold_loop"]),
+    ("live rows need an IoU > the lowest threshold, not >=", "evaluation.py",
+     "live = (ious >= np.fmin.reduce(thresholds)).any(axis=-1)",
+     "live = (ious > np.fmin.reduce(thresholds)).any(axis=-1)",
+     ["tests/test_evaluation.py::TestGreedyMatch::test_equals_whole_array_reference"]),
+    ("a column taken by a live row stays free", "evaluation.py",
+     "        free[..., :k] &= columns != pick\n",
+     "",
+     ["tests/test_evaluation.py::TestGreedyMatch::test_equals_whole_array_reference"]),
+    ("the matcher tries ignored columns first", "evaluation.py",
+     "free = np.ascontiguousarray(np.stack((~ignored, ignored)))",
+     "free = np.ascontiguousarray(np.stack((ignored, ~ignored)))",
+     ["tests/test_evaluation.py::TestGreedyMatch::test_equals_whole_array_reference"]),
+    ("a curve's recall points are searched with the wrong side", "evaluation.py",
+     'RECALL_POINTS, side="left")',
+     'RECALL_POINTS, side="right")',
+     ["tests/test_evaluation.py::TestBatchedClassAp::test_random_scenes_equal_reference_curve_loop"]),
+    ("the precision envelope is a prefix max, not a suffix max", "evaluation.py",
+     "envelope = np.maximum.accumulate(envelope[::-1], axis=0)[::-1]",
+     "envelope = np.maximum.accumulate(envelope, axis=0)",
+     ["tests/test_evaluation.py::TestFrozenReports"]),
+    ("curves leave out the rows that matched nothing", "evaluation.py",
+     "                  + np.repeat(false_pos[:, rows].T, num_t, axis=1))",
+     "                  + 0)",
+     ["tests/test_evaluation.py::TestFrozenReports"]),
+    ("a NaN confidence passes the input check", "evaluation.py",
+     "_reject_first(~np.isfinite(scores), det_image,",
+     "_reject_first(np.isinf(scores), det_image,",
+     ["tests/test_evaluation.py::TestEvaluateDetectionsInputs::test_non_finite_confidence"]),
     ("ranking by confidence is not stable on ties", "evaluation.py",
      'rank = np.argsort(-scores, kind="stable")',
      'rank = np.argsort(-scores, kind="quicksort")',
      ["tests/test_evaluation.py::TestFrozenReports"]),
     ("outcomes are read back without the confidence rank", "evaluation.py",
-     "outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]",
-     "outcomes = outcomes.transpose(1, 0, 2)[:, det_real]",
+     "image, slot = (index[rank] for index in np.nonzero(det_real))",
+     "image, slot = np.nonzero(det_real)",
      ["tests/test_evaluation.py::TestFrozenReports"]),
     ("the im2col index map swaps uy and ux", "tensor.py",
      "         + np.arange(kh)[None, None, None, :, None] - padding)\n"

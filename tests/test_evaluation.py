@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from setdet import evaluation
-from setdet.boxes import giou_matrix, iou_matrix
+from setdet.boxes import box_corners, giou_matrix, iou_matrix
+from setdet.data import grid_instances_scene
 from setdet.detector import Detection
 from setdet.evaluation import (
     AREA_RANGES,
@@ -55,6 +56,38 @@ class TestIouMatrix:
             np.testing.assert_array_equal(batched[i], pairwise(a[i], b[i]), strict=True)
         # one set of ground truth broadcast against every image
         np.testing.assert_array_equal(pairwise(a, b[0]), np.stack([pairwise(x, b[0]) for x in a]))
+
+
+def pairwise_areas_reference(boxes_a, boxes_b):
+    """Intersection, union and enclosing-box area, as both pairwise
+    functions computed them before iou_matrix stopped computing the hull."""
+    ca = box_corners(boxes_a)[..., :, None, :]
+    cb = box_corners(boxes_b)[..., None, :, :]
+    iw = np.maximum(np.minimum(ca[..., 2], cb[..., 2])
+                    - np.maximum(ca[..., 0], cb[..., 0]), 0.0)
+    ih = np.maximum(np.minimum(ca[..., 3], cb[..., 3])
+                    - np.maximum(ca[..., 1], cb[..., 1]), 0.0)
+    inter = iw * ih
+    area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
+    area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
+    union = area_a + area_b - inter
+    hw = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
+    hh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
+    return inter, union, hw * hh
+
+
+class TestPairwiseAgainstSharedAreas:
+    def test_iou_and_giou_equal_the_shared_area_path(self):
+        rng = np.random.default_rng(15)
+        # sixteenths tie exactly; a zero side gives zero-area boxes
+        a = np.concatenate([rng.integers(4, 13, (6, 9, 2)), rng.integers(0, 9, (6, 9, 2))], -1) / 16
+        b = np.concatenate([rng.uniform(0.2, 0.8, (6, 5, 2)), rng.uniform(0, 0.6, (6, 5, 2))], -1)
+        for x, y in ((a, b), (a, a), (a[0], b[0]), (a, b[0])):
+            inter, union, hull = pairwise_areas_reference(x, y)
+            iou = inter / np.maximum(union, 1e-12)
+            np.testing.assert_array_equal(iou_matrix(x, y), iou, strict=True)
+            np.testing.assert_array_equal(
+                giou_matrix(x, y), iou - (hull - union) / np.maximum(hull, 1e-12), strict=True)
 
 
 def ap_oracle(flags, total_gt):
@@ -174,6 +207,78 @@ class TestEvaluateDetections:
         assert report.ap == 0.0
 
 
+class TestEvaluateDetectionsInputs:
+    """A bad class, confidence or box raises, naming its image and row."""
+
+    BOX = np.array([0.5, 0.5, 0.2, 0.2])
+
+    def scene(self, det=None, gt_classes=(0, 1), gt_boxes=None):
+        """Two images; ``det`` replaces the second detection of image 1."""
+        boxes = np.stack([self.BOX, self.BOX + 0.1]) if gt_boxes is None else gt_boxes
+        targets = [TargetSet.create([0], [self.BOX]),
+                   TargetSet(np.asarray(gt_classes, dtype=np.int64), boxes)]
+        detections = [[Detection(0, 0.9, self.BOX.copy())],
+                      [Detection(1, 0.8, self.BOX.copy()),
+                       det or Detection(0, 0.7, self.BOX.copy())]]
+        return detections, targets
+
+    @pytest.mark.parametrize("class_id", [2, 7, -1])
+    def test_detection_class_outside_range(self, class_id):
+        detections, targets = self.scene(Detection(class_id, 0.7, self.BOX.copy()))
+        with pytest.raises(ValueError, match=rf"^detection 1 of image 1: class {class_id} "
+                                             rf"outside \[0, 2\)$"):
+            evaluate_detections(detections, targets, 2)
+
+    @pytest.mark.parametrize("class_id", [5, 2, -1])
+    def test_ground_truth_class_outside_range(self, class_id):
+        detections, targets = self.scene(gt_classes=(1, class_id))
+        with pytest.raises(ValueError, match=rf"^ground truth 1 of image 1: class {class_id} "
+                                             rf"outside \[0, 2\)$"):
+            evaluate_detections(detections, targets, 2)
+
+    @pytest.mark.parametrize("confidence", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence(self, confidence):
+        detections, targets = self.scene(Detection(0, confidence, self.BOX.copy()))
+        with pytest.raises(ValueError, match=rf"^detection 1 of image 1: confidence "
+                                             rf"{re.escape(str(confidence))} is not finite$"):
+            evaluate_detections(detections, targets, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_box(self, value):
+        box = self.BOX.copy()
+        box[2] = value
+        detections, targets = self.scene(Detection(0, 0.7, box))
+        with pytest.raises(ValueError, match=r"^detection 1 of image 1: box \[0.5, 0.5, "
+                                             rf"{value}, 0.2\] is not finite$"):
+            evaluate_detections(detections, targets, 2)
+        detections, targets = self.scene(gt_boxes=np.stack([self.BOX, box]))
+        with pytest.raises(ValueError, match=r"^ground truth 1 of image 1: box \[0.5, 0.5, "
+                                             rf"{value}, 0.2\] is not finite$"):
+            evaluate_detections(detections, targets, 2)
+
+    @pytest.mark.parametrize("box", [[0.5, 0.5, 0.2], np.array([[0.5, 0.5], [0.2, 0.2]]),
+                                     [0.5, 0.5, 0.2, 0.2, 0.1], 0.5])
+    def test_box_not_four_numbers(self, box):
+        detections, targets = self.scene(Detection(0, 0.7, box))
+        with pytest.raises(ValueError, match=rf"^detection 1 of image 1: box of shape "
+                                             rf"{re.escape(str(np.shape(box)))}, not \(4,\)$"):
+            evaluate_detections(detections, targets, 2)
+
+    def test_ground_truth_boxes_not_m_by_4(self):
+        detections, targets = self.scene(gt_boxes=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"^ground truth of image 1: boxes of shape "
+                                             r"\(2, 3\), not \(m, 4\)$"):
+            evaluate_detections(detections, targets, 2)
+        detections, targets = self.scene(gt_classes=(0, 1, 1))
+        with pytest.raises(ValueError, match=r"^ground truth of image 1: 3 classes for 2 boxes$"):
+            evaluate_detections(detections, targets, 2)
+
+    def test_valid_scene_scores(self):
+        # class 0 finds both of its objects; class 1's one detection misses
+        detections, targets = self.scene()
+        assert evaluate_detections(detections, targets, 2).ap50 == 0.5
+
+
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "evaluate_detections_reports.json")
 
@@ -266,6 +371,71 @@ class TestFrozenReports:
         assert calls == [(len(targets),)] * classes_with_gt
 
 
+def greedy_match_whole_array(ious, thresholds, ignored=None):
+    """greedy_match before it visited live rows only: every row of every
+    problem, one pool after the other, in whole-array passes."""
+    ious = np.asarray(ious, dtype=np.float64)
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    *batch, n, m = ious.shape
+    took = np.full((n, *batch, len(thresholds)), -1)
+    if m == 0:
+        return np.moveaxis(took, 0, -1)
+    ious = np.moveaxis(ious, -1, 0)[..., None]                    # [m, ..., n, 1]
+    ignored = np.moveaxis(np.broadcast_to(False if ignored is None else ignored,
+                                          (*batch, len(thresholds), m)), -1, 0)
+    taken = np.zeros(ignored.shape, dtype=bool)                   # [m, ..., T]
+    columns = np.arange(m).reshape(m, *[1] * (taken.ndim - 1))
+    pools = (~ignored, ignored)
+    for i in range(n):
+        for pool in pools:
+            free = np.where(pool & ~taken, ious[..., i, :], -1.0)
+            top = free.max(axis=0)
+            best = np.where(free == top, columns, m).min(axis=0)  # first column at the top
+            hit = (took[i] < 0) & (top >= thresholds)
+            took[i][hit] = best[hit]
+            taken |= hit & (columns == best)
+    return np.moveaxis(took, 0, -1)
+
+
+def interpolated_ap_reference(recall, precision) -> float:
+    """One curve's AP as _class_ap integrated each curve on its own: max
+    precision at any recall >= r at the 101 grid points; index -1 (no such
+    recall, or no detections) reads the appended 0."""
+    order = np.argsort(-recall, kind="stable")
+    max_prec = np.append(np.maximum.accumulate(precision[order]), 0.0)
+    idx = np.searchsorted(-recall[order], -evaluation.RECALL_POINTS, side="right") - 1
+    return float(max_prec[idx].mean())
+
+
+def class_ap_reference(scores, det_boxes, det_image, gt_boxes, gt_image, num_images,
+                       thresholds, area_ranges):
+    """_class_ap before it ranked outcomes directly and integrated the curves
+    together: dense [I, R*T, n] outcomes, then one curve at a time."""
+    num_t = len(thresholds)
+    lo, hi = np.repeat(np.asarray(area_ranges, dtype=np.float64).T, num_t, axis=1)[:, :, None]
+    order = np.lexsort((-scores, det_image))
+    scores, det_image = scores[order], det_image[order]
+    dets, det_real = evaluation._pad(det_boxes[order], det_image, num_images)
+    gts, gt_real = evaluation._pad(gt_boxes, gt_image, num_images)
+    ious = np.where(det_real[:, :, None] & gt_real[:, None, :], iou_matrix(dets, gts), -1.0)
+    det_area = (dets[..., 2] * dets[..., 3])[:, None, :]
+    gt_area = np.where(gt_real, gts[..., 2] * gts[..., 3], np.nan)
+    gt_area = np.pad(gt_area, ((0, 0), (0, 1)), constant_values=np.nan)[:, None, :]
+    gt_inside = (gt_area >= lo) & (gt_area < hi)
+    took = greedy_match_whole_array(ious, np.tile(thresholds, len(area_ranges)),
+                                    ~gt_inside[..., :-1])
+    outcomes = np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=-1),
+                        -1 * ((det_area >= lo) & (det_area < hi)))
+    total_gt = gt_inside.sum(axis=(0, 2))
+    rank = np.argsort(-scores, kind="stable")
+    outcomes = outcomes.transpose(1, 0, 2)[:, det_real][:, rank]
+    aps = np.full(len(outcomes), np.nan)
+    for k in np.flatnonzero(total_gt):
+        tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
+        aps[k] = interpolated_ap_reference(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
+    return aps.reshape(len(area_ranges), num_t)
+
+
 def class_ap_per_image(detections_by_image, gts_by_image, thresholds=IOU_THRESHOLDS):
     """_class_ap before it padded the images into one tensor: one IoU
     matrix and one greedy match per image, at every range and threshold."""
@@ -278,8 +448,8 @@ def class_ap_per_image(detections_by_image, gts_by_image, thresholds=IOU_THRESHO
         det_area = boxes[:, 2] * boxes[:, 3]
         gt_area = np.append(gts[:, 2] * gts[:, 3], np.nan)
         gt_inside = (gt_area >= lo) & (gt_area < hi)
-        took = greedy_match(iou_matrix(boxes, gts), np.tile(thresholds, len(AREA_RANGES)),
-                            ~gt_inside[:, :-1])
+        took = greedy_match_whole_array(iou_matrix(boxes, gts),
+                                        np.tile(thresholds, len(AREA_RANGES)), ~gt_inside[:, :-1])
         outcomes.append(np.where(took >= 0, np.take_along_axis(gt_inside, took, axis=1),
                                  -1 * ((det_area >= lo) & (det_area < hi))))
         total_gt = total_gt + gt_inside.sum(axis=1)
@@ -289,7 +459,7 @@ def class_ap_per_image(detections_by_image, gts_by_image, thresholds=IOU_THRESHO
     aps = np.full(len(outcomes), np.nan)
     for k in np.flatnonzero(total_gt):
         tp = np.cumsum(outcomes[k][outcomes[k] != 0] > 0)
-        aps[k] = evaluation._interpolated_ap(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
+        aps[k] = interpolated_ap_reference(tp / total_gt[k], tp / np.arange(1, len(tp) + 1))
     return aps.reshape(len(AREA_RANGES), len(thresholds))
 
 
@@ -336,6 +506,35 @@ class TestBatchedClassAp:
                                               err_msg=name)
         assert (batched_class_ap(*cases["no_detections"])[[0, 3]] == 0.0).all()
         assert np.isnan(batched_class_ap(*cases["no_ground_truth"])).all()
+
+    def test_random_scenes_equal_reference_curve_loop(self):
+        # ragged images, boxes in every area range, zero-area boxes, and
+        # confidences that tie within and across images
+        rng = np.random.default_rng(12)
+        levels = [IOU_THRESHOLDS, [0.0, 0.5], [0.5], [0.75, 0.5, 0.95],
+                  np.sort(rng.choice(IOU_THRESHOLDS, 4, replace=False))]
+        for case in range(300):
+            images = int(rng.integers(0, 7))
+            dets, gts = [], []
+            for _ in range(images):
+                m = int(rng.integers(0, 6))
+                w, h = rng.uniform(0.02, 0.5, (2, m)) * (rng.random((2, m)) > 0.05)
+                g = np.stack([rng.uniform(0.2, 0.8, m), rng.uniform(0.2, 0.8, m), w, h], -1)
+                image_dets = [(conf, box + rng.normal(0, 0.02, 4) * [1, 1, 0, 0])
+                              for box in g[rng.random(m) < 0.8]
+                              for conf in rng.random(int(rng.integers(1, 3)))]
+                image_dets += [(rng.random(), np.concatenate([rng.uniform(0.2, 0.8, 2),
+                                                              rng.uniform(0, 0.5, 2)]))
+                               for _ in range(int(rng.integers(0, 5)))]
+                if case % 2:
+                    image_dets = [(round(conf, 1), box) for conf, box in image_dets]
+                dets.append(image_dets)
+                gts.append(g)
+            thresholds = levels[case % len(levels)]
+            flat = evaluation._flatten(dets, gts)
+            np.testing.assert_array_equal(
+                evaluation._class_ap(*flat, thresholds, AREA_RANGES),
+                class_ap_reference(*flat, thresholds, AREA_RANGES), err_msg=f"case {case}")
 
     def test_image_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="2 detection lists for 1 images"):
@@ -407,6 +606,86 @@ class TestGreedyMatch:
                                     ignored[i, ..., :m[i]])
                 np.testing.assert_array_equal(took[i, :, :n[i]], want)
                 assert (took[i, :, n[i]:] == -1).all()
+
+    def test_equals_whole_array_reference(self):
+        rng = np.random.default_rng(13)
+        # few distinct values, so IoUs tie with each other and with the thresholds
+        levels = np.concatenate([[0.0, 0.3, 0.45, np.nan], IOU_THRESHOLDS, [0.97, 1.0]])
+        seen = dict.fromkeys(("no live row", "live and dead rows", "nan", "padding", "n=0",
+                              "m=0", "no problem", "2-D scalar", "per-threshold ignored",
+                              "shared ignored"), 0)
+        for case in range(1500):
+            batch = tuple(int(b) for b in rng.integers(1, 4, int(rng.integers(0, 3))))
+            if case % 50 == 1:
+                batch = (0, *batch)
+            n, m = (int(v) for v in rng.integers(0, 8, 2))
+            scalar = not batch and case % 5 == 0
+            if scalar:
+                thresholds = float(rng.choice(IOU_THRESHOLDS))
+            elif case % 3 == 0:
+                thresholds = IOU_THRESHOLDS
+            else:
+                thresholds = rng.choice(IOU_THRESHOLDS, int(rng.integers(1, 5)))
+            num_t = np.size(thresholds)
+            lowest = np.min(thresholds)
+            below = levels[~(levels >= lowest)]
+            # one row in two is dead, with no IoU at or above the lowest
+            # threshold; a live row has one in some column
+            ious = rng.choice(levels, (*batch, n, m))
+            dead = rng.random((*batch, n)) < 0.5
+            ious[dead] = rng.choice(below, (int(dead.sum()), m))
+            if m:
+                live_at = (~dead[..., None]) & (np.arange(m) == rng.integers(0, m, dead.shape)[..., None])
+                ious[live_at] = rng.choice(levels[levels >= lowest], int(live_at.sum()))
+            if batch and n and m:
+                # ragged problems padded with IoU -1, as _class_ap pads images
+                rows = rng.integers(0, n + 1, batch)[..., None, None]
+                cols = rng.integers(0, m + 1, batch)[..., None, None]
+                pad = (np.arange(n)[:, None] >= rows) | (np.arange(m) >= cols)
+                ious[pad] = -1.0
+                seen["padding"] += bool(pad.any())
+            kind = case % 4
+            if kind == 0:
+                ignored = None
+            elif kind == 1:
+                ignored = rng.random((*batch, num_t, m)) < 0.3
+                seen["per-threshold ignored"] += 1
+            elif kind == 2:
+                ignored = rng.random(m) < 0.3
+                seen["shared ignored"] += 1
+            else:
+                ignored = rng.random((*batch, 1, m)) < 0.3
+                seen["shared ignored"] += 1
+            alive = (ious >= lowest).any(axis=-1)
+            seen["no live row"] += not alive.any()
+            seen["live and dead rows"] += bool(alive.any() and not alive.all())
+            seen["no problem"] += 0 in batch
+            seen["nan"] += bool(np.isnan(ious).any())
+            seen["n=0"] += n == 0
+            seen["m=0"] += m == 0
+            seen["2-D scalar"] += scalar
+            took = greedy_match(ious, thresholds, ignored)
+            want = greedy_match_whole_array(ious, thresholds, ignored)
+            np.testing.assert_array_equal(took, want, strict=True, err_msg=f"case {case}")
+        assert min(seen.values()) >= 25, seen
+
+    @pytest.mark.parametrize("object_size", [None, 16])
+    def test_grid_scene_equals_whole_array_reference(self, object_size):
+        # 100 instances; cells of 12 px overlap once objects are 16 px
+        rng = np.random.default_rng(14)
+        gts = grid_instances_scene(0, 100, rng, side=120, object_size=object_size).targets.boxes
+        dets = np.concatenate([gts + rng.normal(0, 0.01, gts.shape) * [1, 1, 0.5, 0.5],
+                               gts[rng.permutation(100)[:40]] + rng.normal(0, 0.03, (40, 4))
+                               * [1, 1, 0, 0]])[rng.permutation(140)]
+        ious = iou_matrix(dets, gts)
+        assert ious.shape == (140, 100)
+        for ignored in (None, rng.random(100) < 0.2,
+                        rng.random((len(IOU_THRESHOLDS), 100)) < 0.2):
+            np.testing.assert_array_equal(greedy_match(ious, IOU_THRESHOLDS, ignored),
+                                          greedy_match_whole_array(ious, IOU_THRESHOLDS, ignored),
+                                          strict=True)
+        np.testing.assert_array_equal(greedy_match(ious, 0.5),
+                                      greedy_match_whole_array(ious, 0.5), strict=True)
 
     def test_scalar_threshold(self):
         ious = np.array([[0.6, 0.9], [0.9, 0.2]])

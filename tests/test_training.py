@@ -16,6 +16,7 @@ from setdet.data import VAL_NAMESPACE, Sample, SyntheticConfig, build_dataset
 from setdet import training
 from setdet.detector import (
     CheckpointError,
+    Detection,
     Detector,
     ModelConfig,
     load_checkpoint,
@@ -474,6 +475,18 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "total_loss", full)
         with pytest.raises(CapacityError, match="^7 targets exceed 5 slots$"):
+            train(tiny_train_config(), str(tmp_path / "run"))
+
+    def test_non_finite_validation_output_is_divergence(self, tmp_path, monkeypatch):
+        # a finite training step whose weights score NaN on the val split
+        def nan_scores(model, samples, *args, **kwargs):
+            return [[Detection(0, float("nan"), np.array([0.5, 0.5, 0.2, 0.2]))]
+                    for _ in samples]
+
+        monkeypatch.setattr(training, "predict_batch", nan_scores)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite model output in validation at epoch 1: "
+                                 r"detection 0 of image 0: confidence nan is not finite$"):
             train(tiny_train_config(), str(tmp_path / "run"))
 
     @pytest.mark.parametrize("kept", ["transformer", "backbone"])
