@@ -692,6 +692,15 @@ class TestGreedyMatch:
         assert greedy_match(ious, 0.5).tolist() == [[1, 0]]
         assert greedy_match(ious, 0.95).tolist() == [[-1, -1]]
 
+    def test_nan_threshold_matches_nothing(self):
+        # a NaN threshold is reached by no IoU and sets no lower bound on
+        # which rows are live at the other thresholds
+        ious = np.array([[0.6, 0.9], [0.9, 0.2]])
+        took = greedy_match(ious, [np.nan, 0.5, np.nan])
+        assert took.tolist() == [[-1, -1], [1, 0], [-1, -1]]
+        np.testing.assert_array_equal(took, greedy_match_whole_array(ious, [np.nan, 0.5, np.nan]))
+        assert (greedy_match(ious, [np.nan]) == -1).all()
+
 
 def nms_reference(detections, iou_thresh):
     """nms before it read one IoU matrix: one single-pair IoU per
