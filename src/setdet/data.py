@@ -448,33 +448,19 @@ class SampleRef:
         return sample
 
 
-def save_annotations(samples, path: str, start_id: int = 0):
-    """Write the JSON annotation file for a list of Samples or SampleRefs."""
+def save_annotations(samples, path: str):
+    """Write the JSON annotation file of a list of Samples; record i has id i."""
     records = []
     for i, sample in enumerate(samples):
-        if isinstance(sample, SampleRef):
-            record = {
-                "id": sample.id, "width": sample.width, "height": sample.height,
-                "objects": _objects_json(sample.targets),
-            }
-            if sample.file is not None:
-                record["file"] = sample.file
-            else:
-                record["synthetic_seed"] = sample.synthetic_seed
-        else:
-            h, w = sample.labels.shape
-            record = {"id": start_id + i, "width": w, "height": h,
-                      "objects": _objects_json(sample.targets)}
-            if sample.seed is not None:
-                record["synthetic_seed"] = sample.seed
+        h, w = sample.labels.shape
+        record = {"id": i, "width": w, "height": h,
+                  "objects": [{"class": int(c), "box": [float(v) for v in b]}
+                              for c, b in zip(sample.targets.classes, sample.targets.boxes)]}
+        if sample.seed is not None:
+            record["synthetic_seed"] = sample.seed
         records.append(record)
     with open(path, "w") as fh:
         json.dump({"images": records}, fh, indent=1)
-
-
-def _objects_json(targets: TargetSet):
-    return [{"class": int(c), "box": [float(v) for v in b]}
-            for c, b in zip(targets.classes, targets.boxes)]
 
 
 def load_annotations(path: str, num_classes: int | None = None) -> list[SampleRef]:

@@ -276,8 +276,13 @@ class Detector:
 
     def predict(self, image, use_layer: int = -1,
                 override_empty: bool = True) -> list[Detection]:
-        """Inference on one [3,H,W] image: forward of a batch of one in eval
-        mode + postprocess."""
+        """Inference on one [3,H,W] image, a Tensor or any array-like:
+        forward of a batch of one in eval mode + postprocess.  Input of
+        another rank raises ``DimensionError`` naming its shape."""
+        image = image.data if isinstance(image, Tensor) else np.asarray(image)
+        if image.ndim != 3:
+            raise DimensionError(f"Detector.predict takes one [3,H,W] image, got shape "
+                                 f"{image.shape}; forward takes a [B,3,H,W] batch")
         with T.no_grad():
             out = self.forward(image[None])
         return postprocess(out, use_layer=use_layer, override_empty=override_empty)[0]

@@ -355,17 +355,23 @@ def evaluate_detections(detections, target_sets, num_classes: int) -> EvalReport
 
 def nms(detections: list, iou_thresh: float = 0.5) -> list:
     """Greedy class-wise suppression: keep the highest-confidence box,
-    drop same-class boxes overlapping a kept one with IoU > threshold."""
+    drop same-class boxes overlapping a kept one with IoU > threshold.
+
+    A box that is not 4 numbers raises a ValueError, and a non-finite
+    confidence or box value its subclass ``NonFiniteDetectionError``, each
+    naming the detection's index in the list as a row of image 0."""
     check_unit_interval("iou_thresh", iou_thresh)
     if not detections:
         return []
-    boxes = np.stack([d.box for d in detections])
+    scores = np.array([d.confidence for d in detections], dtype=np.float64)
+    image = np.zeros(len(detections), dtype=np.intp)
+    _reject_first(~np.isfinite(scores), image, "detection",
+                  lambda i: f"confidence {scores[i]} is not finite", NonFiniteDetectionError)
+    boxes = _detection_boxes([d.box for d in detections], image)
     classes = np.array([d.class_id for d in detections])
     suppresses = (iou_matrix(boxes, boxes) > iou_thresh) & (classes[:, None] == classes)
-    order = sorted(range(len(detections)),
-                   key=lambda i: -detections[i].confidence)
     kept: list[int] = []
-    for i in order:
+    for i in np.argsort(-scores, kind="stable").tolist():
         if not suppresses[i, kept].any():
             kept.append(i)
     kept.sort()

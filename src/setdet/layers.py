@@ -8,7 +8,10 @@ positional information can never leak into the aggregated content.
 
 Every affine map here, the attention projections and the FFN layers (and
 the detector's heads through ``Linear``), is one ``T.linear`` tape node
-with its bias, and with the ReLU where one follows.
+with its bias, and with the ReLU where one follows.  An attention
+projection is one [d, d] map whose rows hold the heads one after another;
+``T.attention`` splits the [B, d, N] projections into heads as a view, so
+no layer here reshapes.
 """
 
 from __future__ import annotations
@@ -101,32 +104,31 @@ class LayerNorm:
 
 
 class AttentionWeights:
-    """Per-head q/k/v projections [M, d/M, d] and output projection [d, d]."""
+    """q/k/v and output projections, each a [d, d] weight and a [d, 1] bias.
+
+    Rows m*d'..(m+1)*d' of a q/k/v projection are head m's (d' = d / M),
+    drawn by ``xavier_uniform`` on that head's fan (d in, d' out).
+    """
 
     def __init__(self, d: int, num_heads: int, rng, name: str):
         if d % num_heads != 0:
             raise ConfigError(f"model width {d} not divisible by {num_heads} heads")
         d_head = d // num_heads
-        shape = (num_heads, d_head, d)
 
         def proj(tag):
-            w = np.stack([xavier_uniform(rng, (d_head, d), d, d_head)
-                          for _ in range(num_heads)])
+            w = np.concatenate([xavier_uniform(rng, (d_head, d), d, d_head)
+                                for _ in range(num_heads)])
             return Parameter(f"{name}.{tag}.weight", Tensor(w))
 
-        self.q_proj = proj("q_proj")
-        self.k_proj = proj("k_proj")
-        self.v_proj = proj("v_proj")
-        self.q_bias = Parameter(f"{name}.q_proj.bias", Tensor(np.zeros((num_heads, d_head, 1))))
-        self.k_bias = Parameter(f"{name}.k_proj.bias", Tensor(np.zeros((num_heads, d_head, 1))))
-        self.v_bias = Parameter(f"{name}.v_proj.bias", Tensor(np.zeros((num_heads, d_head, 1))))
+        def bias(tag):
+            return Parameter(f"{name}.{tag}.bias", Tensor(np.zeros((d, 1))))
+
+        self.q_proj, self.k_proj, self.v_proj = proj("q_proj"), proj("k_proj"), proj("v_proj")
+        self.q_bias, self.k_bias, self.v_bias = bias("q_proj"), bias("k_proj"), bias("v_proj")
         self.out_proj = Parameter(f"{name}.out_proj.weight",
                                   Tensor(xavier_uniform(rng, (d, d), d, d)))
-        self.out_bias = Parameter(f"{name}.out_proj.bias", Tensor(np.zeros((d, 1))))
-        self.d = d
+        self.out_bias = bias("out_proj")
         self.num_heads = num_heads
-        self.d_head = d_head
-        assert shape == self.q_proj.tensor.shape
 
     def parameters(self):
         return [self.q_proj, self.q_bias, self.k_proj, self.k_bias,
@@ -137,10 +139,11 @@ class MultiHeadAttention:
     """M parallel heads, concatenated and projected, then
     layernorm(residual + dropout(projection)).
 
-    The heads are one ``T.attention`` node over [B, M, d', N] projections:
-    softmax(qᵀk / sqrt(d')) weights the values.  The scores never outlive
-    one cache-sized block of heads, and the probabilities are kept only
-    while the tape records.
+    Four ``T.linear`` nodes project q, k, v and the output, and one
+    ``T.attention`` node runs the M heads between them, each over its d'
+    channels of the [B, d, N] projections: softmax(qᵀk / sqrt(d')) weights
+    the values.  The scores never outlive one cache-sized block of heads,
+    and the probabilities are kept only while the tape records.
     """
 
     def __init__(self, d: int, num_heads: int, rng, name: str):
@@ -154,28 +157,13 @@ class MultiHeadAttention:
         if xq.ndim != 3 or xkv.ndim != 3:
             raise T.DimensionError(f"attention needs [B,d,N] sequences, got "
                                    f"{xq.shape} and {xkv.shape}")
-        batch, d, nq = xq.shape
-        nkv = xkv.shape[-1]
-        heads_shape_q = (batch, w.num_heads, w.d_head, nq)
-        heads_shape_kv = (batch, w.num_heads, w.d_head, nkv)
-
         q_in = xq if pos_q is None else xq + pos_q
         k_in = xkv if pos_kv is None else xkv + pos_kv
-
-        # Stacked-head weights viewed as one [d, d] projection: channel
-        # m*d'+i of the product is row i of head m, so a later reshape to
-        # [M, d', N] is exactly the per-head split / channel concat.
-        def project(weight, bias, x, out_shape):
-            w2d = T.reshape(weight.tensor, (d, d))
-            b2d = T.reshape(bias.tensor, (d, 1))
-            return T.reshape(T.linear(w2d, x, b2d), out_shape)
-
-        q = project(w.q_proj, w.q_bias, q_in, heads_shape_q)
-        k = project(w.k_proj, w.k_bias, k_in, heads_shape_kv)
-        v = project(w.v_proj, w.v_bias, xkv, heads_shape_kv)
-        heads = T.attention(q, k, v, 1.0 / math.sqrt(w.d_head))  # [B,M,d',Nq]
-        merged = T.reshape(heads, (batch, d, nq))               # channel concat
-        proj = T.linear(w.out_proj.tensor, merged, w.out_bias.tensor)
+        q = T.linear(w.q_proj.tensor, q_in, w.q_bias.tensor)
+        k = T.linear(w.k_proj.tensor, k_in, w.k_bias.tensor)
+        v = T.linear(w.v_proj.tensor, xkv, w.v_bias.tensor)
+        heads = T.attention(q, k, v, w.num_heads)                # [B, d, Nq], heads concatenated
+        proj = T.linear(w.out_proj.tensor, heads, w.out_bias.tensor)
         proj = T.dropout(proj, dropout, rng, train)
         return self.norm(xq + proj)
 

@@ -654,25 +654,34 @@ def linear(w: Tensor, x: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 ATTENTION_BLOCK_BYTES = 256 * 1024
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """Scaled dot-product attention, one tape node: q [..., d', Nq] and
-    k, v [..., d', Nkv] -> v softmax(scale qᵀk)ᵀ [..., d', Nq].
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of ``heads`` heads, one tape node: q
+    [..., d, Nq] and k, v [..., d, Nkv] -> [..., d, Nq].  Head m is the
+    channels m·d'..(m+1)·d' of each operand (a view), d' = d / heads, and of
+    the output, where it is v softmax(qᵀk / sqrt(d'))ᵀ.  A ``heads`` that is
+    no int in [1, d] dividing d raises ``DimensionError``.
 
-    Forward and backward walk the flattened leading axes in blocks whose
-    [Nq, Nkv] scores fit ``ATTENTION_BLOCK_BYTES``.  Each block runs the
-    products and softmax passes that the composed transpose / mul / matmul /
-    softmax_lastdim / transpose / matmul chain runs over the whole stack, on
-    the same views and in the same order; numpy calls the same per-slice
-    product for any stack length, so values and gradients are bit for bit
-    the composed chain's, also when ``_halves`` runs the upper half of the
-    blocks on the helper thread.  Without recording each thread allocates
-    one block of scores and nothing larger; with it, the probabilities are
-    kept for backward and the raw scores are not.
+    Forward and backward walk the [G, d', N] slices, G = prod(...) · heads,
+    in blocks whose [Nq, Nkv] scores fit ``ATTENTION_BLOCK_BYTES``.  Each
+    block runs the products and softmax passes that the composed transpose
+    / mul / matmul / softmax_lastdim / transpose / matmul chain runs over
+    the whole stack, on the same views and in the same order; numpy calls
+    the same per-slice product for any stack length, so values and
+    gradients are bit for bit the composed chain's, also when ``_halves``
+    runs the upper half of the blocks on the helper thread.  Without
+    recording each thread allocates one block of scores and nothing larger;
+    with it, the probabilities are kept for backward and the raw scores are
+    not.
     """
     if q.ndim < 2 or k.shape != v.shape or q.shape[:-1] != k.shape[:-1]:
-        raise DimensionError(f"attention: need q [..., d', Nq] and k, v [..., d', Nkv], "
+        raise DimensionError(f"attention: need q [..., d, Nq] and k, v [..., d, Nkv], "
                              f"got {q.shape}, {k.shape} and {v.shape}")
-    lead, (dh, nq), nkv = q.shape[:-2], q.shape[-2:], k.shape[-1]
+    lead, (d, nq), nkv = q.shape[:-2], q.shape[-2:], k.shape[-1]
+    if type(heads) is not int or not 1 <= heads <= d or d % heads:
+        raise DimensionError(f"attention: heads must be an int in [1, {d}] that divides "
+                             f"the width {d}, got heads={heads!r}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
     qs = (q.data * scale).reshape(-1, dh, nq)
     kd, vd = k.data.reshape(-1, dh, nkv), v.data.reshape(-1, dh, nkv)
     slices = qs.shape[0]
@@ -727,7 +736,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
         if dq_t is not None:
             _accumulate(q, (dq_t.swapaxes(-1, -2) * scale).reshape(q.shape), owned=True)
 
-    return _result(out.reshape(lead + (dh, nq)), (q, k, v), backward)
+    return _result(out.reshape(lead + (d, nq)), (q, k, v), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

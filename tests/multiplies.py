@@ -9,7 +9,8 @@ or ``Tensor.__matmul__``, for a wrapper that records
 is wrapped the same way and records its one product W·x,
 ``prod(batch) * d_out * d_in * N``, and ``setdet.tensor.attention`` records
 its two products, qᵀk and v·Pᵀ, each ``G * d' * Nq * Nkv`` for G
-(batch x head) slices.  Elementwise work (the bias, the ReLU) is not
+(batch x head) slices of d' = d / heads channels: ``prod(q.shape) * Nkv``
+for q [..., d, Nq], whatever the heads.  Elementwise work (the bias, the ReLU) is not
 counted.  Each product is recorded with ``list.append``, which is atomic,
 so products run by worker threads inside the block are all counted.
 """
@@ -49,8 +50,8 @@ def count_matmul_multiplies():
         products.append(math.prod(sx[:-2]) * sw[0] * sw[1] * sx[-1])
         return out
 
-    def counted_attention(q, k, v, scale):
-        out = attention(q, k, v, scale)
+    def counted_attention(q, k, v, heads):
+        out = attention(q, k, v, heads)
         products.append(2 * math.prod(_shape(q)) * _shape(k)[-1])
         return out
 

@@ -59,6 +59,10 @@ MUTANTS = (
      "_reject_first(~np.isfinite(scores), det_image,",
      "_reject_first(np.isinf(scores), det_image,",
      ["tests/test_evaluation.py::TestEvaluateDetectionsInputs::test_non_finite_confidence"]),
+    ("nms lets a NaN confidence through", "evaluation.py",
+     "_reject_first(~np.isfinite(scores), image,",
+     "_reject_first(np.isinf(scores), image,",
+     ["tests/test_evaluation.py::TestNms::test_non_finite_confidence_names_its_index"]),
     ("ranking by confidence is not stable on ties", "evaluation.py",
      'rank = np.argsort(-scores, kind="stable")',
      'rank = np.argsort(-scores, kind="quicksort")',
@@ -112,6 +116,16 @@ MUTANTS = (
      "            p -= p.max(axis=-1, keepdims=True)\n",
      "",
      ["tests/test_tensor.py::TestAttention"]),
+    ("attention scales by 1/sqrt(d), not 1/sqrt(d / heads)", "tensor.py",
+     "    scale = 1.0 / math.sqrt(dh)\n",
+     "    scale = 1.0 / math.sqrt(d)\n",
+     ["tests/test_tensor.py::TestAttention::test_scale_is_one_over_root_head_width",
+      "tests/test_tensor.py::TestAttention::test_bitwise_equal_to_composed_path"]),
+    ("attention splits q's heads along the token axis", "tensor.py",
+     "    qs = (q.data * scale).reshape(-1, dh, nq)\n",
+     "    qs = (q.data * scale).swapaxes(-1, -2).reshape(-1, nq, dh).swapaxes(-1, -2)\n",
+     ["tests/test_tensor.py::TestAttention::test_heads_equal_one_head_on_the_split_view",
+      "tests/test_layers.py::TestMultiHeadAttention::test_composition_of_single_heads"]),
     ("linear adds the bias after the ReLU", "tensor.py",
      "        out += b.data\n"
      "        mask = None\n"

@@ -15,6 +15,7 @@ from setdet.detector import (
     postprocess,
     read_checkpoint_arrays,
     save_checkpoint,
+    write_arrays,
 )
 from setdet.layers import ConfigError, MultiHeadAttention
 from setdet.matching import LossWeights, TargetSet, dice_loss, total_loss
@@ -138,9 +139,9 @@ class TestForward:
     def test_one_attention_node_per_attention_layer(self, monkeypatch, enc, dec):
         calls, attention = [], T.attention
 
-        def counted(q, k, v, scale):
-            calls.append(q.shape[:2])
-            return attention(q, k, v, scale)
+        def counted(q, k, v, heads):
+            calls.append((q.shape[:2], heads))
+            return attention(q, k, v, heads)
 
         def no_softmax(*args):
             raise AssertionError("the model path runs no separate softmax")
@@ -149,8 +150,9 @@ class TestForward:
         monkeypatch.setattr(T, "softmax_lastdim", no_softmax)
         model = tiny_model(enc_layers=enc, dec_layers=dec)
         model.forward(np.random.default_rng(6).random((2, 3, 16, 16)))
-        # encoder self-attention, then decoder self- and cross-attention
-        assert calls == [(2, 2)] * (enc + 2 * dec)
+        # encoder self-attention, then decoder self- and cross-attention,
+        # each on the [B, d, N] projections
+        assert calls == [((2, 8), 2)] * (enc + 2 * dec)
 
     @pytest.mark.parametrize("enc,dec", [(1, 2), (2, 1)])
     def test_one_linear_node_per_projection_and_head_layer(self, enc, dec):
@@ -166,13 +168,8 @@ class TestForward:
         assert all(op_name(p) == "conv2d" for n in nodes if op_name(n) == "relu"
                    for p in n._parents)
         biases = {id(p.tensor) for p in model.parameters() if p.name.endswith("bias")}
-
-        def is_bias(t):            # a bias parameter, or one reshaped for a projection
-            if t._backward is not None and op_name(t) == "reshape":
-                t = t._parents[0]
-            return id(t) in biases
-
-        assert not any(is_bias(p) for n in nodes if op_name(n) == "add" for p in n._parents)
+        assert not any(id(p) in biases for n in nodes if op_name(n) == "add"
+                       for p in n._parents)
 
     def test_loss_nodes_do_not_grow_with_depth(self):
         targets = [TargetSet.create([0], [[0.5, 0.5, 0.4, 0.4]]),
@@ -401,6 +398,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(wider, path)
 
+    def test_per_head_layout_rejected(self, tmp_path):
+        # files written while q/k/v were stored per head, [M, d', d] and
+        # [M, d', 1], do not load: there is no reshape on load
+        model = Detector(ModelConfig(), np.random.default_rng(0))
+        arrays = {p.name: p.tensor.data for p in model.parameters()}
+        for name, array in arrays.items():
+            if re.search(r"_attn\.[qkv]_proj\.", name):
+                arrays[name] = array.reshape(8, 8, -1)
+        path = str(tmp_path / "per_head.sdtr")
+        write_arrays(path, arrays)
+        with pytest.raises(CheckpointError, match=re.escape(
+                "shape mismatch for encoder.layers.0.self_attn.q_proj.weight: "
+                "file (8, 8, 64) vs expected (64, 64)")):
+            load_checkpoint(model, path)
+
     def test_raw_read(self, tmp_path):
         model = tiny_model()
         path = str(tmp_path / "model.sdtr")
@@ -425,6 +437,23 @@ def test_single_image_rank_rejected(call, match):
     # the model path takes a leading batch axis only; predict lifts one image
     with pytest.raises(DimensionError, match=match):
         call()
+
+
+@pytest.mark.parametrize("image", [np.zeros((2, 3, 16, 16)), np.zeros((16, 16)),
+                                   np.float64(0.5)], ids=["batch", "plane", "scalar"])
+def test_predict_names_the_callers_shape(image):
+    with pytest.raises(DimensionError, match=re.escape(
+            f"Detector.predict takes one [3,H,W] image, got shape {np.shape(image)};")):
+        tiny_model().predict(image)
+
+
+def test_predict_takes_an_array_like():
+    model = tiny_model()
+    image = np.random.default_rng(9).random((3, 16, 16))
+    want = [(d.class_id, d.confidence, d.box.tobytes()) for d in model.predict(image)]
+    for like in (image.tolist(), Tensor(image)):
+        assert [(d.class_id, d.confidence, d.box.tobytes()) for d in model.predict(like)] \
+            == want
 
 
 def test_predict_returns_detections():

@@ -13,6 +13,7 @@ from setdet.evaluation import (
     AREA_RANGES,
     IOU_THRESHOLDS,
     EvalReport,
+    NonFiniteDetectionError,
     average_precision,
     evaluate_detections,
     greedy_match,
@@ -788,6 +789,34 @@ class TestNms:
         box = np.array([0.5, 0.5, 0.2, 0.2])
         dets = [Detection(0, 0.9, box), Detection(0, 0.8, box)]
         assert len(nms(dets, 0)) == 1 and len(nms(dets, 1.0)) == 2
+
+    @pytest.mark.parametrize("box", [[0.5, 0.5, 0.2], [0.5, 0.5, 0.2, 0.2, 0.1],
+                                     [[0.5, 0.5], [0.2, 0.2]]])
+    def test_box_of_other_shape_names_its_index(self, box):
+        good = np.array([0.5, 0.5, 0.2, 0.2])
+        dets = [Detection(0, 0.9, good), Detection(1, 0.8, good),
+                Detection(0, 0.7, np.array(box))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"detection 2 of image 0: box of shape {np.shape(box)}, not (4,)")) as exc:
+            nms(dets, 0.5)
+        assert not isinstance(exc.value, NonFiniteDetectionError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_names_its_index(self, bad):
+        box = np.array([0.5, 0.5, 0.2, 0.2])
+        dets = [Detection(0, 0.9, box), Detection(0, bad, box), Detection(0, 0.8, box)]
+        with pytest.raises(NonFiniteDetectionError,
+                           match=f"^detection 1 of image 0: confidence {bad} is not finite$"):
+            nms(dets, 0.5)
+
+    def test_non_finite_box_names_its_index(self):
+        box = np.array([0.5, 0.5, 0.2, 0.2])
+        dets = [Detection(0, 0.9, box), Detection(1, 0.8, box),
+                Detection(0, 0.7, np.array([0.5, np.nan, 0.2, 0.2]))]
+        with pytest.raises(NonFiniteDetectionError,
+                           match=re.escape("detection 2 of image 0: box [0.5, nan, 0.2, 0.2] "
+                                            "is not finite")):
+            nms(dets, 0.5)
 
 
 def two_band_map(split, class_top=0, class_bottom=1, thing_top=True):

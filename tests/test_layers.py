@@ -11,8 +11,10 @@ from setdet.layers import (
     LayerNorm,
     Linear,
     MultiHeadAttention,
+    xavier_uniform,
 )
 from setdet.tensor import Tensor, grad_check
+from test_detector import op_name, tape_nodes
 from test_tensor import composed_attention
 
 
@@ -23,7 +25,7 @@ def attention_head(xq: Tensor, xkv: Tensor, wq, bq, wk, bk, wv, bv,
 
     Q and K see the positional encodings; V is projected from the raw
     key-value content.  Scores are scaled by 1/sqrt(d') before the
-    row-wise softmax.  The reference the stacked-head attention is
+    row-wise softmax.  The reference the multi-head attention is
     checked against.
     """
     q_in = xq if pos_q is None else xq + pos_q
@@ -38,10 +40,11 @@ def attention_head(xq: Tensor, xkv: Tensor, wq, bq, wk, bk, wv, bv,
 
 
 def head_weights(weights: AttentionWeights, m: int):
-    """Weights of head ``m`` as plain Tensors (for the single-head op)."""
-    return (Tensor(weights.q_proj.tensor.data[m]), Tensor(weights.q_bias.tensor.data[m]),
-            Tensor(weights.k_proj.tensor.data[m]), Tensor(weights.k_bias.tensor.data[m]),
-            Tensor(weights.v_proj.tensor.data[m]), Tensor(weights.v_bias.tensor.data[m]))
+    """Weights of head ``m``, its d' rows of each [d, d] projection, as plain
+    Tensors (for the single-head op)."""
+    d_head = len(weights.q_proj.tensor.data) // weights.num_heads
+    rows = slice(m * d_head, (m + 1) * d_head)
+    return tuple(Tensor(p.tensor.data[rows]) for p in weights.parameters()[:6])
 
 
 def head_oracle(xq, xkv, wq, bq, wk, bk, wv, bv, pos_q=None, pos_kv=None):
@@ -134,6 +137,18 @@ class TestMultiHeadAttention:
         with pytest.raises(ConfigError):
             AttentionWeights(6, 4, np.random.default_rng(0), "attn")
 
+    def test_projections_are_per_head_draws_in_rows(self):
+        # q, k and v each stack their heads' own-fan draws as rows of one
+        # [d, d] weight, in that order, and the output projection comes last
+        weights = AttentionWeights(8, 2, np.random.default_rng(3), "attn")
+        rng = np.random.default_rng(3)
+        for proj in (weights.q_proj, weights.k_proj, weights.v_proj):
+            want = [xavier_uniform(rng, (4, 8), 8, 4) for _ in range(2)]
+            assert proj.tensor.data.tobytes() == np.concatenate(want).tobytes()
+        assert weights.out_proj.tensor.data.tobytes() == \
+            xavier_uniform(rng, (8, 8), 8, 8).tobytes()
+        assert [p.tensor.shape for p in weights.parameters()] == [(8, 8), (8, 1)] * 4
+
     def test_output_shape_matches_query(self):
         rng = np.random.default_rng(5)
         mha = MultiHeadAttention(8, 2, rng, "attn")
@@ -173,6 +188,17 @@ class TestMultiHeadAttention:
             + mha.weights.out_bias.tensor
         want = T.layer_norm(xq + proj, mha.norm.gain.tensor, mha.norm.bias.tensor)
         np.testing.assert_allclose(got.data, want.data, atol=1e-12)
+
+    def test_tape_is_four_linears_and_one_attention(self):
+        rng = np.random.default_rng(16)
+        mha = MultiHeadAttention(8, 2, rng, "attn")
+        xq = Tensor(rng.normal(size=(3, 8, 5)), requires_grad=True)
+        xkv = Tensor(rng.normal(size=(3, 8, 7)), requires_grad=True)
+        out = mha(xq, xkv, pos_q=Tensor(rng.normal(size=(8, 5))),
+                  pos_kv=Tensor(rng.normal(size=(8, 7))))
+        names = sorted(op_name(n) for n in tape_nodes([out]))
+        # the two positional adds, the residual add and the norm around them
+        assert names == ["add"] * 3 + ["attention", "layer_norm"] + ["linear"] * 4
 
     def test_equals_composed_attention_bitwise(self, monkeypatch):
         # the fused node against the transpose/scale/matmul/softmax/matmul

@@ -1,3 +1,5 @@
+import functools
+import math
 import threading
 import time
 import tracemalloc
@@ -807,31 +809,39 @@ class TestLinear:
             assert str(s) in str(exc.value)
 
 
-def composed_attention(q, k, v, scale):
-    """The chain ``T.attention`` replaced, one tape node per step: the
-    reference its forward and gradients must equal bit for bit."""
-    scores = T.matmul(T.transpose(q * scale), k)
+def composed_attention(q, k, v, heads):
+    """The chain ``T.attention`` replaced, one tape node per step, on the
+    [..., heads, d', N] view of each operand: the reference its forward and
+    gradients must equal bit for bit."""
+    *lead, d, nq = q.shape
+    dh = d // heads
+
+    def split(t):
+        return T.reshape(t, (*lead, heads, dh, t.shape[-1]))
+
+    scores = T.matmul(T.transpose(split(q) * (1.0 / math.sqrt(dh))), split(k))
     alpha = T.softmax_lastdim(scores)
-    return T.matmul(v, T.transpose(alpha))
+    return T.reshape(T.matmul(split(v), T.transpose(alpha)), q.shape)
 
 
-def attention_run(fn, q_shape, nkv, seed=0):
+def attention_run(fn, q_shape, nkv, seed=0, heads=1):
     """Forward without recording, forward with recording, and the q/k/v
     gradients of a generic scalar of the recorded output."""
     rng = np.random.default_rng(seed)
-    *lead, dh, nq = q_shape
-    arrays = [rng.normal(size=q_shape), rng.normal(size=(*lead, dh, nkv)),
-              rng.normal(size=(*lead, dh, nkv))]
+    *lead, d, nq = q_shape
+    arrays = [rng.normal(size=q_shape), rng.normal(size=(*lead, d, nkv)),
+              rng.normal(size=(*lead, d, nkv))]
     upstream = Tensor(rng.normal(size=q_shape))
-    scale = 1.0 / np.sqrt(dh)
     with T.no_grad():
-        plain = fn(*map(Tensor, arrays), scale).data
+        plain = fn(*map(Tensor, arrays), heads).data
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
-    out = fn(*leaves, scale)
+    out = fn(*leaves, heads)
     T.tsum(out * upstream).backward()
     return [plain, out.data] + [t.grad for t in leaves]
 
 
+# (batch, heads, d', Nq) and Nkv: the default train step's encoder and
+# decoder attentions, a 120 px predict's encoder, and a batch of 20
 ATTENTION_SHAPES = [((16, 8, 8, 64), 64), ((16, 8, 8, 10), 64), ((16, 8, 8, 10), 10),
                     ((1, 8, 8, 225), 225), ((20, 8, 8, 64), 64)]
 
@@ -839,10 +849,30 @@ ATTENTION_SHAPES = [((16, 8, 8, 64), 64), ((16, 8, 8, 10), 64), ((16, 8, 8, 10),
 class TestAttention:
     @pytest.mark.parametrize("q_shape,nkv", ATTENTION_SHAPES)
     def test_bitwise_equal_to_composed_path(self, q_shape, nkv):
-        want = attention_run(composed_attention, q_shape, nkv)
-        got = attention_run(T.attention, q_shape, nkv)
+        batch, heads, dh, nq = q_shape
+        run = functools.partial(attention_run, q_shape=(batch, heads * dh, nq), nkv=nkv,
+                                heads=heads)
+        want, got = run(composed_attention), run(T.attention)
         for name, g, w in zip(("no_grad", "forward", "dq", "dk", "dv"), got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("q_shape,nkv,splits", [
+        ((16, 8, 8, 64), 64, True),         # 8.39M multiplies forward
+        ((2, 4, 4, 10), 12, False),
+    ])
+    def test_heads_equal_one_head_on_the_split_view(self, monkeypatch, q_shape, nkv,
+                                                    splits):
+        # heads=M on [B, d, N] against heads=1 on the [B, M, d', N] view: one
+        # seed draws the same numbers for either shape
+        monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+        batch, heads, dh, nq = q_shape
+        assert (2 * batch * heads * dh * nq * nkv >= T.SPLIT_MIN_WORK) == splits
+        helper = record_helper(monkeypatch)
+        got = attention_run(T.attention, (batch, heads * dh, nq), nkv, heads=heads)
+        assert bool(helper.calls) == splits
+        want = attention_run(T.attention, q_shape, nkv, heads=1)
+        for name, g, w in zip(("no_grad", "forward", "dq", "dk", "dv"), got, want):
+            assert g.tobytes() == w.tobytes() and g.size == w.size, name
 
     @pytest.mark.parametrize("q_shape,nkv,budget", [
         ((1, 1, 8, 200), 200, None),        # one slice larger than the budget
@@ -860,6 +890,7 @@ class TestAttention:
             assert g.tobytes() == w.tobytes()
 
     def test_grad_check(self, monkeypatch):
+        # two heads of 2 channels each over operands of width 4
         monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * 3 * 5 * 8)
         rng = np.random.default_rng(2)
         q, k, v = (Tensor(rng.normal(size=(2, 3, 4, n))) for n in (3, 5, 5))
@@ -868,7 +899,7 @@ class TestAttention:
             def f(t):
                 args = [q, k, v]
                 args[which] = t
-                return scalarize(T.attention(*args, 0.7))
+                return scalarize(T.attention(*args, 2))
             return grad_check(f, [q, k, v][which], eps=1e-6)
 
         for which in range(3):
@@ -882,7 +913,7 @@ class TestAttention:
         tracemalloc.start()
         try:
             with T.no_grad():
-                out = T.attention(q, k, v, 0.35)
+                out = T.attention(q, k, v, 1)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -908,7 +939,7 @@ class TestAttention:
             tracemalloc.start()
             try:
                 with T.no_grad():
-                    out = T.attention(q, k, v, 0.35)
+                    out = T.attention(q, k, v, 1)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -934,7 +965,7 @@ class TestAttention:
         probs = 2 * 2 * 40 * 40 * 8
         tracemalloc.start()
         try:
-            out = T.attention(q, k, v, 0.5)
+            out = T.attention(q, k, v, 1)
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -952,7 +983,25 @@ class TestAttention:
     def test_shapes_checked(self, shapes):
         q, k, v = (Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(DimensionError, match="^attention: need q"):
-            T.attention(q, k, v, 1.0)
+            T.attention(q, k, v, 1)
+
+    @pytest.mark.parametrize("heads", [0, 3, 9, True, 2.0, None])
+    def test_heads_checked(self, heads):
+        q, k, v = (Tensor(np.zeros((2, 8, 5))) for _ in range(3))
+        with pytest.raises(DimensionError, match="^attention: heads must be an int in") as exc:
+            T.attention(q, k, v, heads)
+        assert f"heads={heads!r}" in str(exc.value) and "width 8" in str(exc.value)
+
+    def test_scale_is_one_over_root_head_width(self):
+        # one kv column per query pair: the softmax of two scores s, 0 is
+        # sigmoid(s), with s = q·k / sqrt(d / heads) read back from the output
+        q = Tensor(np.full((1, 8, 1), 0.5))
+        k = Tensor(np.concatenate([np.full((1, 8, 1), 1.0), np.zeros((1, 8, 1))], axis=-1))
+        v = Tensor(np.concatenate([np.ones((1, 8, 1)), np.zeros((1, 8, 1))], axis=-1))
+        for heads in (1, 2, 8):
+            out = T.attention(q, k, v, heads).data
+            s = 0.5 * (8 // heads) / math.sqrt(8 // heads)
+            np.testing.assert_allclose(out, 1 / (1 + math.exp(-s)), rtol=1e-14)
 
 
 def test_constant_operand_gradient_is_not_reduced(monkeypatch):
@@ -992,9 +1041,9 @@ def test_multiply_counter_counts_matmul_only():
         a @ b
     assert c.count == 3 * 4 * 5 and T.matmul is matmul
     attention = T.attention
-    with count_matmul_multiplies() as c:       # qᵀk and v·Pᵀ of 6 slices
-        T.attention(Tensor(np.ones((2, 3, 4, 5))), Tensor(np.ones((2, 3, 4, 7))),
-                    Tensor(np.ones((2, 3, 4, 7))), 0.5)
+    with count_matmul_multiplies() as c:       # qᵀk and v·Pᵀ of 2 x 3 heads of 4
+        T.attention(Tensor(np.ones((2, 12, 5))), Tensor(np.ones((2, 12, 7))),
+                    Tensor(np.ones((2, 12, 7))), 3)
     assert c.count == 2 * 6 * 4 * 5 * 7 and T.attention is attention
     linear = T.linear
     with count_matmul_multiplies() as c:       # W·x over a batch of 2; not the bias
